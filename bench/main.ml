@@ -7,10 +7,9 @@
      TQEC_SEED   = random seed (default 42)
      TQEC_BENCHMARKS = comma-separated subset of benchmark names
      TQEC_JOBS   = parallelism for the suite fan-out AND each
-                   instance's inner stages (placement multi-start,
-                   routing batches): everything feeds one persistent
-                   work-stealing pool, so nesting composes instead of
-                   oversubscribing
+                   instance's placement multi-start lanes: everything
+                   feeds one persistent work-stealing pool, so nesting
+                   composes instead of oversubscribing
                    (default: the machine's domain count; 1 = serial)
      TQEC_RESTARTS = annealing trajectories per placement (default 1)
      TQEC_EARLY_STOP = adaptive multi-start early-stop margin
@@ -40,8 +39,10 @@
                    exits non-zero on a mismatch
      TQEC_CHECK_NESTED = 1 to cross-check determinism of the fully
                    nested workload (suite instances x annealing
-                   restarts x routing batches on one pool): jobs=1 and
-                   jobs=4 suite rows must agree bit for bit *)
+                   restarts on one pool): jobs=1 and jobs=4 suite rows
+                   must agree bit for bit
+
+   The table run exits non-zero when any row failed to route. *)
 
 module Suite = Tqec_circuit.Suite
 module Experiments = Tqec_compress.Experiments
@@ -312,7 +313,8 @@ let regenerate_tables config =
   Printf.eprintf "[bench] running Figure 1 series...\n%!";
   print_string (Report.fig1 (Experiments.fig1_series ()));
   print_newline ();
-  print_string (Report.summary rows)
+  print_string (Report.summary rows);
+  List.filter (fun (r : Report.row) -> not r.Report.r_routed) rows
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive multi-start determinism cross-check                        *)
@@ -382,9 +384,8 @@ let check_multistart () =
 (* ------------------------------------------------------------------ *)
 
 (* The full nesting the persistent pool must keep deterministic: suite
-   instances fan out as tasks, each instance runs annealing restarts as
-   nested tasks, and each routing iteration batches nets as
-   nested-nested tasks — all on the same scheduler.  Rows (minus wall
+   instances fan out as tasks and each instance runs annealing restarts
+   as nested tasks, all on the same scheduler.  Rows (minus wall
    clock) must be a pure function of (seed, restarts): jobs=1 and
    jobs=4 agree bit for bit.  Run on every `dune runtest` via
    @bench-smoke. *)
@@ -414,7 +415,8 @@ let check_nested () =
              r.Report.r_lin2d,
              r.Report.r_dual_only,
              r.Report.r_ours,
-             r.Report.r_scale ))
+             r.Report.r_scale,
+             r.Report.r_routed ))
   in
   let a = run 1 in
   let b = run 4 in
@@ -425,11 +427,11 @@ let check_nested () =
     exit 1
   end;
   Printf.eprintf
-    "[bench] nested determinism ok (2 instances x 2 restarts x routed \
-     batches, jobs 1 vs 4: %s)\n%!"
+    "[bench] nested determinism ok (2 instances x 2 restarts, jobs 1 vs \
+     4: %s)\n%!"
     (String.concat ", "
        (List.map
-          (fun (name, _, _, _, _, _, _, _, ours, _) ->
+          (fun (name, _, _, _, _, _, _, _, ours, _, _) ->
             Printf.sprintf "%s ours=%d" name ours)
           a))
 
@@ -547,8 +549,14 @@ let () =
     | Tqec_place.Placer.Normal -> "normal"
     | Tqec_place.Placer.Full -> "full")
     config.Experiments.scale;
-  regenerate_tables config;
+  let unrouted = regenerate_tables config in
   if Sys.getenv_opt "TQEC_BENCH_STAGES" <> Some "0" then begin
     print_newline ();
     run_bechamel ()
+  end;
+  if unrouted <> [] then begin
+    Printf.eprintf "[bench] FAIL: unrouted rows: %s\n%!"
+      (String.concat ", "
+         (List.map (fun (r : Report.row) -> r.Report.r_name) unrouted));
+    exit 1
   end

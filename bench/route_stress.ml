@@ -6,8 +6,8 @@
    Each instance runs the full flow at quick effort, then re-checks the
    result with [Pipeline.check] — placement overlap, routing
    connectivity/pin coverage, obstacle and bounds legality, capacity and
-   overuse accounting — and finally cross-checks the router's
-   determinism by re-routing under a different worker count.
+   overuse accounting — and finally cross-checks the whole flow's
+   determinism by re-running it under a different worker count.
 
    Environment:
      TQEC_STRESS_BENCHMARKS = comma-separated suite names
@@ -108,35 +108,32 @@ let mk_sparse_grid () =
     sparse_nets;
   g
 
-let route_sparse ?(corridor_cache = true) ~corridor_cells ~jobs () =
+let route_sparse ?(corridor_cache = true) ~corridor_cells () =
   let g = mk_sparse_grid () in
   let r =
     Pathfinder.route_all g
-      { Pathfinder.default_config with jobs; corridor_cells; corridor_cache }
+      { Pathfinder.default_config with corridor_cells; corridor_cache }
       sparse_nets
   in
   (g, r)
 
 (* The sparse grid must materialize only the touched slab (the z-tile
    row the routes live in), and the hierarchical corridor path (forced
-   with corridor_cells = 0) must stay legal and bit-identical between
-   jobs=1 and jobs=4. *)
+   with corridor_cells = 0) must stay legal. *)
 let sparse_substrate () =
-  let g_flat, flat = route_sparse ~corridor_cells:max_int ~jobs:(Some 1) () in
-  let _, corr1 = route_sparse ~corridor_cells:0 ~jobs:(Some 1) () in
-  let g_corr, corr4 = route_sparse ~corridor_cells:0 ~jobs:(Some 4) () in
+  let g_flat, flat = route_sparse ~corridor_cells:max_int () in
+  let g_corr, corr = route_sparse ~corridor_cells:0 () in
   let nets = sparse_nets in
   let flat_issues = Pathfinder.validate g_flat flat nets in
-  let corr_issues = Pathfinder.validate g_corr corr4 nets in
-  let jobs_invariant = corr1 = corr4 in
+  let corr_issues = Pathfinder.validate g_corr corr nets in
   let m = Grid.mem g_corr in
   (* the substrate is 8 z-tile rows; the routes live in the bottom one *)
   let sparse = m.Grid.mem_touched_cells * 4 < m.Grid.mem_cells in
   Printf.printf
     "[route-stress] sparse-substrate    routed=%b/%b corridor-legal=%d \
-     flat-legal=%d jobs-invariant=%b touched=%d/%d cells (%.1f%%) sparse=%b\n%!"
-    flat.Pathfinder.success corr4.Pathfinder.success
-    (List.length corr_issues) (List.length flat_issues) jobs_invariant
+     flat-legal=%d touched=%d/%d cells (%.1f%%) sparse=%b\n%!"
+    flat.Pathfinder.success corr.Pathfinder.success
+    (List.length corr_issues) (List.length flat_issues)
     m.Grid.mem_touched_cells m.Grid.mem_cells
     (100. *. float_of_int m.Grid.mem_touched_cells
      /. float_of_int (max 1 m.Grid.mem_cells))
@@ -147,21 +144,17 @@ let sparse_substrate () =
   List.iter
     (fun e -> Printf.eprintf "[route-stress]   flat error: %s\n%!" e)
     flat_issues;
-  if not jobs_invariant then
-    Printf.eprintf
-      "[route-stress]   error: corridor routing differs between jobs=1 and \
-       jobs=4\n%!";
   if not sparse then
     Printf.eprintf
       "[route-stress]   error: sparse grid materialized most of the \
        substrate\n%!";
-  flat.Pathfinder.success && corr4.Pathfinder.success && flat_issues = []
-  && corr_issues = [] && jobs_invariant && sparse
+  flat.Pathfinder.success && corr.Pathfinder.success && flat_issues = []
+  && corr_issues = [] && sparse
 
 (* Corridor-cache cross-check on the sparse substrate: with the
    hierarchical path forced (corridor_cells = 0), routes must be
-   bit-identical with the cache on and off, and with the cache on at
-   jobs=1 and jobs=4 — the cache is a pure memoization of the coarse
+   bit-identical with the cache on and off — the cache is a pure
+   memoization of the coarse
    tile-graph search, certified by tile-summary generations and the
    net's own rip/claim bookkeeping, so it may never change a route.
    The counters pin the accounting: during a cache-enabled run every
@@ -171,14 +164,10 @@ let sparse_substrate () =
 let corridor_cache_stress () =
   let module Counters = Tqec_route.Counters in
   Counters.reset ();
-  let _, on1 = route_sparse ~corridor_cells:0 ~jobs:(Some 1) () in
+  let _, on = route_sparse ~corridor_cells:0 () in
   let s = Counters.stats () in
-  let _, off1 =
-    route_sparse ~corridor_cache:false ~corridor_cells:0 ~jobs:(Some 1) ()
-  in
-  let _, on4 = route_sparse ~corridor_cells:0 ~jobs:(Some 4) () in
-  let cache_invariant = on1 = off1 in
-  let jobs_invariant = on1 = on4 in
+  let _, off = route_sparse ~corridor_cache:false ~corridor_cells:0 () in
+  let cache_invariant = on = off in
   let accounted = s.Counters.coarse_searches = s.Counters.cache_misses in
   (* Steady-state scratch: the per-domain A* workspace persists in
      domain-local storage and is warmed by the runs above (the full
@@ -186,7 +175,7 @@ let corridor_cache_stress () =
      repeat run — widening ladder included — must not reallocate any
      score array. *)
   Counters.reset ();
-  let _, warm = route_sparse ~corridor_cells:0 ~jobs:(Some 1) () in
+  let _, warm = route_sparse ~corridor_cells:0 () in
   let grows = (Counters.stats ()).Counters.scratch_grows in
   (* Hit evidence on a congested negotiation workload: the smallest
      suite instance with a corridor threshold low enough that the
@@ -223,19 +212,15 @@ let corridor_cache_stress () =
     | _ -> false
   in
   Printf.printf
-    "[route-stress] corridor-cache     cache-invariant=%b jobs-invariant=%b \
-     misses=%d stale=%d accounted=%b steady-scratch-grows=%d \
-     pipeline-hits=%d pipeline-invariant=%b\n%!"
-    cache_invariant jobs_invariant s.Counters.cache_misses
+    "[route-stress] corridor-cache     cache-invariant=%b misses=%d stale=%d \
+     accounted=%b steady-scratch-grows=%d pipeline-hits=%d \
+     pipeline-invariant=%b\n%!"
+    cache_invariant s.Counters.cache_misses
     s.Counters.cache_stale accounted grows pipeline_hits pipeline_invariant;
   if not cache_invariant then
     Printf.eprintf
       "[route-stress]   error: routes differ between corridor-cache on and \
        off\n%!";
-  if not jobs_invariant then
-    Printf.eprintf
-      "[route-stress]   error: cached corridor routing differs between \
-       jobs=1 and jobs=4\n%!";
   if not accounted then
     Printf.eprintf
       "[route-stress]   error: coarse searches (%d) <> cache misses (%d) \
@@ -254,7 +239,7 @@ let corridor_cache_stress () =
     Printf.eprintf
       "[route-stress]   error: pipeline fingerprint differs between \
        corridor-cache on and off\n%!";
-  warm.Pathfinder.success && cache_invariant && jobs_invariant && accounted
+  warm.Pathfinder.success && cache_invariant && accounted
   && grows = 0 && pipeline_hits > 0 && pipeline_invariant
 
 let () =

@@ -103,8 +103,8 @@ let restarts_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for parallel placement restarts, per-iteration \
-     routing batches, and benchmark fan-out.  Defaults to \
+    "Worker domains for parallel placement restarts and benchmark \
+     fan-out (routing always runs on one domain).  Defaults to \
      \\$(b,TQEC_JOBS) or the machine's domain count; 1 forces serial \
      execution.  Results are identical for any value."
   in

@@ -107,11 +107,10 @@ let run_benchmark config (entry : Suite.entry) =
           early_stop_margin = config.early_stop_margin;
           partition = config.partition;
           debug = config.debug;
-          (* inner stages (placement multi-start, the router's
-             per-iteration batches) share the same persistent pool as
-             the suite fan-out: a blocked instance helps drain nested
-             tasks, so nesting composes without oversubscription and
-             small suites soak idle workers with restarts — and the
+          (* placement multi-start lanes share the same persistent
+             pool as the suite fan-out: a blocked instance helps drain
+             nested tasks, so nesting composes without oversubscription
+             and small suites soak idle workers with restarts — and the
              output is jobs-invariant either way *)
           jobs = config.jobs;
         }
@@ -135,6 +134,9 @@ let run_benchmark config (entry : Suite.entry) =
     r_scale =
       (if config.auto_scale then max config.scale (auto_factor entry)
        else config.scale);
+    r_routed =
+      dual_only.Pipeline.routing.Tqec_route.Pathfinder.success
+      && ours.Pipeline.routing.Tqec_route.Pathfinder.success;
   }
 
 (* Suite instances are independent: fan them out across domains.  Rows

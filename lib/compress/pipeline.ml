@@ -331,10 +331,10 @@ let rec run_icm ?(config = default_config) ?on_stage icm =
     let route_config =
       match config.corridor_cells with
       | None ->
-          { Pathfinder.default_config with jobs = config.jobs;
+          { Pathfinder.default_config with
             corridor_cache = config.corridor_cache; debug = config.debug }
       | Some cells ->
-          { Pathfinder.default_config with jobs = config.jobs;
+          { Pathfinder.default_config with
             corridor_cells = cells; corridor_cache = config.corridor_cache;
             debug = config.debug }
     in

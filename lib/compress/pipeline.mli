@@ -25,9 +25,10 @@ type config = {
       (** independent annealing trajectories; best placement wins.
           Deterministic in (seed, restarts) regardless of [jobs] *)
   jobs : int option;
-      (** worker domains for multi-start placement and the per-iteration
-          routing batches; [None] defers to [TQEC_JOBS] / the machine's
-          domain count.  Results are identical for any value *)
+      (** worker domains for the multi-start placement lanes (routing
+          always runs on the caller's domain); [None] defers to
+          [TQEC_JOBS] / the machine's domain count.  Results are
+          identical for any value *)
   early_stop_margin : float option;
       (** adaptive multi-start early-stop margin (see
           {!Tqec_place.Placer.config}); [None] disables early stopping *)

@@ -15,6 +15,10 @@ type row = {
   r_ours_runtime : float;
   r_paper : Tqec_circuit.Suite.paper_row;
   r_scale : int;  (** instance scale divisor (1 = full size) *)
+  r_routed : bool;
+      (** both pipeline runs (dual-only and ours) routed with no overused
+          cell.  An unrouted row is marked in every table and left out
+          of every average. *)
 }
 
 (** [table1 rows] renders benchmark statistics in the layout of the
@@ -22,11 +26,12 @@ type row = {
 val table1 : row list -> string
 
 (** [table2 rows] renders canonical and Lin [11] volumes with ratios to
-    ours (paper Table 2). *)
+    ours (paper Table 2).  The averages cover routed rows only; the
+    table says how many rows were left out. *)
 val table2 : row list -> string
 
 (** [table3 rows] renders Hsu [10] vs ours volumes, ratios and runtimes
-    (paper Table 3). *)
+    (paper Table 3), averaged over routed rows like {!table2}. *)
 val table3 : row list -> string
 
 (** [fig1 series] renders the Fig. 1 volume sequence for the 3-CNOT
@@ -35,5 +40,5 @@ val table3 : row list -> string
 val fig1 : (string * int * int) list -> string
 
 (** [summary rows] one-paragraph paper-vs-measured digest (average
-    ratios). *)
+    ratios over routed rows). *)
 val summary : row list -> string

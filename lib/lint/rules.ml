@@ -4,15 +4,15 @@
 
 (* --- race: mutation inside a pool-closure window ------------------- *)
 
-(* Heuristic closure window: from a [Pool.map]/[Pool.run]/[Pool.async]
-   token, the window is the first parenthesized group opening on the
-   same or the next line (in practice the inline closure argument),
-   through its matching close paren.  A call whose tasks are named
-   functions opens no window.  Inside the window, mutation tokens are
-   race candidates: the write may run on any worker domain concurrently
-   with its siblings.  The audit may sit at the mutation site or at the
+(* Heuristic closure window: from a [Pool.map]/[Pool.run] token, the
+   window is the first parenthesized group opening on the same or the
+   next line (in practice the inline closure argument), through its
+   matching close paren.  A call whose tasks are named functions opens
+   no window.  Inside the window, mutation tokens are race candidates:
+   the write may run on any worker domain concurrently with its
+   siblings.  The audit may sit at the mutation site or at the
    [Pool.*] call that opens the window. *)
-let race_entry_points = [ "Pool.map"; "Pool.run"; "Pool.async" ]
+let race_entry_points = [ "Pool.map"; "Pool.run" ]
 let race_mutations = [ ":="; "<-"; "Hashtbl.replace"; "Hashtbl.add" ]
 
 let race_sites (lx : Lexer.t) =
@@ -165,8 +165,8 @@ let all =
     Rule.make ~id:"race" ~marker:"race:" ~before:3
       ~doc:
         "mutation tokens (:=, <-, Hashtbl.replace/add) inside a \
-         Pool.map/Pool.run/Pool.async closure window: shared-state writes \
-         on concurrent pool tasks"
+         Pool.map/Pool.run closure window: shared-state writes on \
+         concurrent pool tasks"
       ~advice:
         "mutation inside a pool closure; make the task pure (return the \
          value) or audit the synchronization by name with `race:`"

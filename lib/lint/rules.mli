@@ -21,9 +21,9 @@
       [Array.unsafe_*]: memory- or determinism-unsafe primitives
       ([unsafe:]).
     - [race] — mutation tokens ([:=], [<-], [Hashtbl.replace],
-      [Hashtbl.add]) inside a [Pool.map]/[Pool.run]/[Pool.async]
-      closure window: shared-state writes on pool tasks need a [race:]
-      audit naming the synchronization. *)
+      [Hashtbl.add]) inside a [Pool.map]/[Pool.run] closure window:
+      shared-state writes on pool tasks need a [race:] audit naming the
+      synchronization. *)
 
 val all : Rule.t list
 (** Every built-in rule, in catalog order. *)

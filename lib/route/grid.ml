@@ -7,10 +7,9 @@ let outside_die_cost = 6
 
 (* Chunked sparse congestion state: the bounding box is carved into
    fixed-size [tile_edge]^3 tiles, allocated on first touch through a
-   flat tile directory.  Memory and copy work (snapshot / view / patch)
-   scale with the number of touched tiles — the routed skeleton — not
-   with the substrate volume, which for sparse assemblies is orders of
-   magnitude larger. *)
+   flat tile directory.  Memory scales with the number of touched
+   tiles — the routed skeleton — not with the substrate volume, which
+   for sparse assemblies is orders of magnitude larger. *)
 let tile_bits = 3
 
 let tile_edge = 1 lsl tile_bits
@@ -22,8 +21,6 @@ let tile_cells = tile_edge * tile_edge * tile_edge
 type tile = {
   t_usage : int array;
   t_hist : int array;
-  (* obstacle / shared masks are fixed once routing starts and therefore
-     shared (never copied) between a grid and its snapshots and views *)
   t_obst : Bytes.t;
   t_shared : Bytes.t;
   (* Incrementally maintained tile summaries, the capacity signal the
@@ -56,15 +53,9 @@ type t = {
      summary-visible state (usage, history, obstacle count, shared
      mask).  The corridor cache compares a region's tile generations
      against the counter value recorded when a corridor was computed:
-     all [<= stamp] means no coarse-search input changed.  Generations
-     are a per-grid timeline — a [view] starts a fresh one — so stamps
-     are only meaningful against the grid object that issued them. *)
+     all [<= stamp] means no coarse-search input changed. *)
   gens : int array;
   mutable gen_counter : int;
-  (* true for [view] results: congestion-cost queries only — the overuse
-     table is not carried, so [overused]/[overused_count] must fail
-     loudly instead of answering from an empty table *)
-  view_only : bool;
 }
 
 let create ?die box =
@@ -85,7 +76,6 @@ let create ?die box =
     over = Hashtbl.create 64;
     gens = Array.make (tx * ty * tz) 0;
     gen_counter = 0;
-    view_only = false;
   }
 
 let bump_gen g ti =
@@ -239,120 +229,14 @@ let enter_cost_d g ~penalty ~dusage p =
 
 let enter_cost g ~penalty p = enter_cost_d g ~penalty ~dusage:0 p
 
-let check_not_view g name =
-  if g.view_only then
-    invalid_arg
-      (Printf.sprintf
-         "Grid.%s: views carry no overuse table (cost queries only)" name)
-
 let overused g =
-  check_not_view g "overused";
   (* hash-order: sorted by flat index so the order matches the historical
      full scan (x, then y, then z ascending) whatever the hash layout *)
   Hashtbl.fold (fun i () acc -> i :: acc) g.over []
   |> List.sort Int.compare
   |> List.map (cell_of_index g)
 
-let overused_count g =
-  check_not_view g "overused_count";
-  Hashtbl.length g.over
-
-(* Exact copy of an allocated tile: congestion arrays and summaries are
-   deep-copied, the fixed obstacle/shared masks are shared. *)
-let copy_tile t =
-  {
-    t_usage = Array.copy t.t_usage;
-    t_hist = Array.copy t.t_hist;
-    t_obst = t.t_obst;
-    t_shared = t.t_shared;
-    t_sum_usage = t.t_sum_usage;
-    t_sum_hist = t.t_sum_hist;
-    t_n_obst = t.t_n_obst;
-  }
-
-let snapshot g =
-  {
-    g with
-    tiles = Array.map (Option.map copy_tile) g.tiles;
-    over = Hashtbl.copy g.over;
-    (* the snapshot inherits the source's generation timeline at the
-       snapshot point, then diverges; never bumps the source *)
-    gens = Array.copy g.gens;
-  }
-
-(* Unlike [snapshot], a view may be built WHILE [g] is being mutated by
-   another domain, and only pays for allocated tiles.  [Array.copy] of a
-   tile's int arrays reads each slot exactly once; a slot read
-   concurrently with a write yields one of the two tagged ints byte-mixed
-   — still an immediate int, just a garbage value.  A tile directory slot
-   read while another domain installs a fresh tile is a racy pointer
-   read: it returns either [None] or the new tile (immutable fields of
-   which always read their initialized values — the OCaml 5 memory model
-   guarantees this even under a race); the mutable summary fields may
-   read garbage ints.  Every cell the mutator writes during the race
-   window is recorded by the caller and overwritten via [patch_cell]
-   (which re-materializes tiles the racy directory read missed and
-   restores the summaries), after which the view equals [g] at the patch
-   point.  The [over] table is deliberately NOT copied ([Hashtbl.copy]
-   of a mutating table is not race-safe, and cost queries never consult
-   it): a view answers [enter_cost]/[usage]/[history] only — never
-   [overused]. *)
-let view g =
-  {
-    g with
-    tiles = Array.map (Option.map copy_tile) g.tiles;
-    over = Hashtbl.create 1;
-    (* fresh timeline: the source's gens array may be mutated while the
-       racy copy runs, so the view starts at zero and is advanced only
-       by its own [patch_cell] fix-ups — stamps taken against a view are
-       valid against that view alone *)
-    gens = Array.make (Array.length g.gens) 0;
-    gen_counter = 0;
-    view_only = true;
-  }
-
-let patch_cell ~src ~dst p =
-  guard src p "patch_cell";
-  let ti, ci = tile_cell src p in
-  match src.tiles.(ti) with
-  | None -> (
-      (* the cell was written and then sank back into a never-allocated
-         tile — impossible today (writes allocate), kept total for
-         safety *)
-      match dst.tiles.(ti) with
-      | None -> ()
-      | Some d ->
-          if d.t_usage.(ci) <> 0 || d.t_hist.(ci) <> 0 then bump_gen dst ti;
-          d.t_sum_usage <- d.t_sum_usage - d.t_usage.(ci);
-          d.t_sum_hist <- d.t_sum_hist - d.t_hist.(ci);
-          d.t_usage.(ci) <- 0;
-          d.t_hist.(ci) <- 0)
-  | Some s -> (
-      match dst.tiles.(ti) with
-      | None ->
-          (* the racy directory read missed this tile (or the copy caught
-             it half-built): re-materialize it wholesale from the now
-             quiescent source *)
-          dst.tiles.(ti) <- Some (copy_tile s);
-          bump_gen dst ti
-      | Some d ->
-          (* bump only when the patch changes what the destination's
-             summaries report: a rip-up + identical reclaim patches the
-             same values back and must NOT invalidate corridors cached
-             against the destination *)
-          if
-            d.t_usage.(ci) <> s.t_usage.(ci)
-            || d.t_hist.(ci) <> s.t_hist.(ci)
-            || d.t_sum_usage <> s.t_sum_usage
-            || d.t_sum_hist <> s.t_sum_hist
-          then bump_gen dst ti;
-          d.t_usage.(ci) <- s.t_usage.(ci);
-          d.t_hist.(ci) <- s.t_hist.(ci);
-          (* summaries are whole-tile state: once every recorded cell of
-             the tile is patched, copying the source's (quiescent) sums
-             makes them exact again *)
-          d.t_sum_usage <- s.t_sum_usage;
-          d.t_sum_hist <- s.t_sum_hist)
+let overused_count g = Hashtbl.length g.over
 
 (* ------------------------------------------------------------------ *)
 (* Tile-level queries for the hierarchical corridor search.            *)

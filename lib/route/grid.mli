@@ -12,12 +12,12 @@
 
     Storage is tiled: the bounding box is carved into {!tile_edge}^3
     chunks allocated on first touch through a flat tile directory, so
-    memory — and the copy cost of {!snapshot}/{!view}/{!patch_cell} —
-    scales with the touched (routed/obstacled) volume instead of the
-    substrate volume.  Untouched cells read as usage 0, history 0, no
-    obstacle, not shared.  Each tile also carries incrementally
-    maintained summaries (total usage + history, obstacle count) that the
-    hierarchical corridor search reads as tile-level capacity signals. *)
+    memory scales with the touched (routed/obstacled) volume instead of
+    the substrate volume.  Untouched cells read as usage 0, history 0,
+    no obstacle, not shared.  Each tile also carries incrementally
+    maintained summaries (total usage + history, obstacle count) that
+    the hierarchical corridor search reads as tile-level capacity
+    signals. *)
 
 type t
 
@@ -61,55 +61,19 @@ val enter_cost : t -> penalty:int -> Tqec_util.Vec3.t -> int
 
 (** [enter_cost_d g ~penalty ~dusage p] is {!enter_cost} computed as if
     the cell's usage were [usage + dusage].  With [dusage = -1] on the
-    cells of a net's own current route, a read-only shared view prices
-    a re-route exactly as if that net had first been ripped up — the
-    trick that lets every worker search one immutable snapshot instead
-    of mutating a private copy. *)
+    cells of a net's own current route, it prices a re-route exactly as
+    if that net had first been ripped up — the trick that lets every net
+    of a negotiation batch search the same, unmodified grid. *)
 val enter_cost_d : t -> penalty:int -> dusage:int -> Tqec_util.Vec3.t -> int
 
 (** [overused g] lists cells with usage above capacity, in lexicographic
     (x, y, z) order.  The set is maintained incrementally by
     {!add_usage}/{!set_shared}, so the call is O(overused log overused) —
-    it never rescans the grid volume.
-
-    Raises [Invalid_argument] on a {!view}: views carry no overuse
-    table, so answering would be silently meaningless (historically this
-    contract lived only in prose; it is now enforced). *)
+    it never rescans the grid volume. *)
 val overused : t -> Tqec_util.Vec3.t list
 
-(** [overused_count g] is [List.length (overused g)] in O(1).  Raises
-    [Invalid_argument] on a {!view}, like {!overused}. *)
+(** [overused_count g] is [List.length (overused g)] in O(1). *)
 val overused_count : t -> int
-
-(** [snapshot g] is an immutable-by-convention copy of the congestion
-    state: usage, history and the overused set are deep-copied (touched
-    tiles only), while the obstacle and shared masks (fixed once routing
-    starts) are shared with [g].  Concurrent readers may query a
-    snapshot freely while claims are committed to the live grid. *)
-val snapshot : t -> t
-
-(** [view g] is a cost-query-only copy of the congestion state (usage +
-    history; obstacle/shared masks shared with [g]).  The overuse set is
-    NOT carried: {!overused}/{!overused_count} on a view raise
-    [Invalid_argument] — a view answers {!enter_cost}/{!usage}/
-    {!history} only.  Unlike {!snapshot} it may be built concurrently
-    with mutations to [g]: racy slots read as garbage ints and racy tile
-    directory reads may miss freshly allocated tiles (both
-    memory-safely), and the caller must afterwards {!patch_cell} every
-    cell that was written during the copy, restoring exact agreement
-    with [g].  Only allocated tiles are copied, so the cost is
-    O(touched volume). *)
-val view : t -> t
-
-(** [patch_cell ~src ~dst p] copies [p]'s usage and history from [src]
-    into [dst] (a {!view} or {!snapshot} of the same grid), the fix-up
-    primitive for racily built and incrementally maintained views.  A
-    tile present in [src] but absent from [dst] (allocated during a racy
-    {!view} copy) is re-materialized wholesale; tile summaries are
-    restored from [src], so once every written cell has been patched the
-    destination's tiles — summaries included — agree exactly with
-    [src]. *)
-val patch_cell : src:t -> dst:t -> Tqec_util.Vec3.t -> unit
 
 val capacity : int
 
@@ -167,22 +131,16 @@ val tile_free : t -> int -> int
 
     Every mutation that changes a tile's summary-visible state — usage
     ({!add_usage} with a non-zero delta), history ({!add_history}),
-    obstacle count ({!set_obstacle} on a previously clear cell), shared
-    mask ({!set_shared}), or a {!patch_cell} that changes the
-    destination — advances a grid-wide counter and stamps it on that
-    tile (and only that tile).  A caller that records {!generation} at
-    compute time can later ask {!region_unchanged_since}: if no tile in
-    the region carries a newer stamp, every summary the computation read
-    is provably unchanged, and the cached result is still exact.
-
-    Generations are a per-grid-object timeline: {!snapshot} copies the
-    source's timeline and then diverges; {!view} starts a fresh one
-    (advanced only by its own patches).  Neither ever bumps the
-    source.  Stamps must only be compared against the grid object that
-    issued them. *)
+    obstacle count ({!set_obstacle} on a previously clear cell) or
+    shared mask ({!set_shared}) — advances a grid-wide counter and
+    stamps it on that tile (and only that tile).  Reads never advance
+    it.  A caller that records {!generation} at compute time can later
+    ask {!region_unchanged_since}: if no tile in the region carries a
+    newer stamp, every summary the computation read is provably
+    unchanged, and the cached result is still exact. *)
 
 (** [generation g] is the current value of the grid-wide mutation
-    counter (0 on a fresh grid or view). *)
+    counter (0 on a fresh grid). *)
 val generation : t -> int
 
 (** [tile_generation g ti] is the counter value at the last

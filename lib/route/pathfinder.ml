@@ -1,6 +1,5 @@
 module Vec3 = Tqec_util.Vec3
 module Box3 = Tqec_util.Box3
-module Pool = Tqec_util.Pool
 
 type net = { net_id : int; pins : Vec3.t list }
 
@@ -10,7 +9,6 @@ type config = {
   penalty_growth : int;
   history_increment : int;
   region_margin : int;
-  jobs : int option;
   corridor_cells : int;
   corridor_cache : bool;
   debug : bool;
@@ -23,7 +21,6 @@ let default_config =
     penalty_growth = 4;
     history_increment = 2;
     region_margin = 3;
-    jobs = None;
     (* Every paper-suite instance routes in well under this volume, so
        the hierarchical path never perturbs their bit-identical
        dense-era routes; scale-tier substrates blow past it. *)
@@ -60,9 +57,10 @@ let dedup_cells cells =
       end)
     cells
 
-(* Every domain keeps its own A* workspace: route_net is called
-   concurrently from pool workers, and the scratch holds the open queue
-   and score arrays. *)
+(* Every domain keeps its own A* workspace: independent [route_all]
+   calls may run on different domains at once (suite instances fanned
+   out over the pool), and the scratch holds the open queue and score
+   arrays. *)
 let scratch_key = Domain.DLS.new_key Astar.create_scratch
 
 (* ------------------------------------------------------------------ *)
@@ -78,18 +76,8 @@ let scratch_key = Domain.DLS.new_key Astar.create_scratch
 (* no tile overlapping the region was summary-mutated after [s]        *)
 (* ([Grid.region_unchanged_since]).  A hit therefore yields exactly    *)
 (* the corridor a fresh coarse search would compute — routes are       *)
-(* bit-identical with the cache on or off, for any worker count; only  *)
-(* the work saved differs.                                             *)
-(*                                                                     *)
-(* Entries also pin the grid OBJECT they were computed against         *)
-(* (physical equality): generations are a per-grid timeline, so a      *)
-(* stamp taken against the live grid means nothing to the shared       *)
-(* parallel-phase view and vice versa.                                 *)
-(*                                                                     *)
-(* Tables are per-net: a net is routed by exactly one pool task per    *)
-(* iteration, so its table is never touched concurrently; commit       *)
-(* barriers ([Pool.map]/[Pool.await]) order accesses across            *)
-(* iterations.                                                         *)
+(* bit-identical with the cache on or off; only the work saved         *)
+(* differs.  Tables are per-net.                                       *)
 (*                                                                     *)
 (* A generation stamp alone would self-invalidate on every reroute:    *)
 (* the net's own claim (+1 along its path) and the rip-up that         *)
@@ -111,8 +99,7 @@ let scratch_key = Domain.DLS.new_key Astar.create_scratch
 (* touched after [c_commit] and the caller's [exclude] is physically   *)
 (* the [c_excl] object: nothing at all changed, so the effective       *)
 (* input — and hence the corridor a fresh coarse search would return   *)
-(* — is unchanged.  Routes stay bit-identical with the cache on or     *)
-(* off, for any worker count; only the work saved differs.             *)
+(* — is unchanged.                                                     *)
 (*                                                                     *)
 (* [route_all] maintains the equation in brackets around every rip-up  *)
 (* and claim of the net: the pre-pass checks the entry is current      *)
@@ -124,11 +111,8 @@ let scratch_key = Domain.DLS.new_key Astar.create_scratch
 (* its route bookkeeping can no longer be trusted, so it could never   *)
 (* certify again anyway, and dropping it keeps the table — and every   *)
 (* later bracket's pre-pass — sized by the live entries instead of     *)
-(* the run's history.  Entries pinned to a different grid object (the  *)
-(* parallel-phase view) can likewise never match a live-grid lookup    *)
-(* again and are dropped by the same post-pass. *)
+(* the run's history. *)
 type cache_entry = {
-  c_grid : Grid.t;
   mutable c_commit : int;
   mutable c_excl : Vec3.t list;
   mutable c_keep : bool;
@@ -150,10 +134,8 @@ type corridor_cache = (int list * int * Box3.t, cache_entry) Hashtbl.t
 (* ([Grid.tile_free]) of the one-tile slab beyond each of the six      *)
 (* faces and divide the budget proportionally, so the window grows     *)
 (* toward under-used volume first.  Deterministic integer arithmetic   *)
-(* over tile summaries the searching grid already agrees on across     *)
-(* workers — jobs-invariant by the same argument as the searches       *)
-(* themselves.  Returns [None] when every slab is exhausted (callers   *)
-(* fall back to the uniform schedule). *)
+(* over tile summaries.  Returns [None] when every slab is exhausted   *)
+(* (callers fall back to the uniform schedule). *)
 let guided_widen grid ~margin region =
   let tdx, tdy, tdz = Grid.tile_dims grid in
   let lo = (Grid.box grid).Box3.lo in
@@ -220,10 +202,10 @@ let guided_widen grid ~margin region =
   end
 
 (* Route one net as a Steiner tree; returns its cell set (or None when a
-   pin is unreachable even with the widest region).  Only reads [grid] —
-   in the parallel phase it runs against an immutable shared view, with
-   the net's own current route priced out via [exclude] (a -1 usage bias
-   inside A*, exactly equivalent to ripping the net up first). *)
+   pin is unreachable even with the widest region).  Only reads [grid];
+   a batch search prices the net's own current route out via [exclude]
+   (a -1 usage bias inside A*, exactly equivalent to ripping the net up
+   first). *)
 let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
     ?(cache : corridor_cache option) grid ~penalty ~margin (n : net) =
   match dedup_cells n.pins with
@@ -300,8 +282,7 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
                 let key = (key_tiles, Grid.tile_index grid pin, region) in
                 match Hashtbl.find_opt tbl key with
                 | Some e
-                  when e.c_grid == grid && e.c_commit >= 0
-                       && e.c_excl == exclude
+                  when e.c_excl == exclude
                        && Grid.region_unchanged_since grid ~since:e.c_commit
                             region ->
                     Atomic.incr Counters.cache_hits;
@@ -324,9 +305,8 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
                            the coarse just consumed grid-minus-[exclude],
                            and [exclude] is the net's current route *)
                         Hashtbl.replace tbl key
-                          { c_grid = grid; c_commit = stamp;
-                            c_excl = exclude; c_keep = false;
-                            c_corridor = corridor };
+                          { c_commit = stamp; c_excl = exclude;
+                            c_keep = false; c_corridor = corridor };
                         Astar.fine_in_corridor ~avoid_used ~exclude scratch
                           grid ~corridor ~region ~penalty ~sources:!tree
                           ~target:pin))
@@ -399,69 +379,25 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
       done;
       if !ok then Some (List.rev !tree) else None
 
-(* Negotiated congestion with a snapshot/commit iteration (parallel
-   PathFinder): every iteration freezes the grid's congestion state,
-   routes the nets under negotiation concurrently against that stale
-   view (each with its own previous route priced out), then rips up and
-   commits their claims serially in deterministic net order.  Conflicts
-   the stale view hides from the concurrent searches surface as overuse
-   at commit and are renegotiated on the next iteration.  Because every
-   net is routed against the same view and the commit order is the
-   (deterministic) net order, the trajectory is bit-identical for any
-   worker count — including fully serial runs.
-
-   The view itself is built and kept current off the critical path: one
-   copy of the congestion arrays is made as a pool task that overlaps
-   the first (serial) routing iteration, every cell the serial/commit
-   phases write is recorded, and an end-of-iteration patch of exactly
-   those cells brings the view back to "live grid, now" — so steady
-   state does O(cells touched) fix-up work per iteration instead of the
-   per-worker O(volume) copies the first parallel version made. *)
+(* Negotiated congestion, one domain.  The first iteration routes every
+   net incrementally, exactly like classic serial PathFinder.  Later
+   iterations are Jacobi-style batches: every net under negotiation is
+   searched against the same pre-commit state of the live grid (each
+   with its own current route priced out through [exclude]), and only
+   then are the new routes ripped up and committed serially in
+   deterministic net order.  Conflicts the batch searches could not see
+   surface as overuse at commit and are renegotiated next iteration. *)
 let route_all grid config nets =
-  let jobs =
-    match config.jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-  in
   let routes : (int, Vec3.t list) Hashtbl.t = Hashtbl.create 64 in
-  (* Shared stale view, incrementally maintained.  [touched] records
-     every live-grid cell written since the view last agreed with the
-     grid; [sync_view] patches exactly those.  The initial [Grid.view]
-     copy races the first iteration's commits by design: any slot it
-     catches mid-write belongs to a recorded cell, so the patch heals
-     it (see the [Grid.view] contract). *)
-  let snap = ref None in
-  let snap_fill = ref None in
-  let recording = ref false in
-  let touched = ref [] in
-  let record c = if !recording then touched := c :: !touched in
-  let sync_view () =
-    (match !snap_fill with
-    | Some pr ->
-        snap := Some (Pool.await pr);
-        snap_fill := None
-    | None -> ());
-    match !snap with
-    | Some v ->
-        List.iter (fun c -> Grid.patch_cell ~src:grid ~dst:v c) !touched;
-        touched := []
-    | None -> touched := []
-  in
   let rip_up net_id =
     match Hashtbl.find_opt routes net_id with
     | None -> ()
     | Some cells ->
-        List.iter
-          (fun c ->
-            Grid.add_usage grid c (-1);
-            record c)
-          cells;
+        List.iter (fun c -> Grid.add_usage grid c (-1)) cells;
         Hashtbl.remove routes net_id
   in
   let claim net_id cells =
-    List.iter
-      (fun c ->
-        Grid.add_usage grid c 1;
-        record c)
-      cells;
+    List.iter (fun c -> Grid.add_usage grid c 1) cells;
     Hashtbl.replace routes net_id cells
   in
   let unrouted = ref [] in
@@ -475,12 +411,9 @@ let route_all grid config nets =
       nets
   in
   let route_set = ref nets in
-  (* Corridor-cache tables, one per net, allocated up front: a net is
-     routed by exactly one pool task per iteration, so a task only ever
-     mutates its own net's table, and the outer table is read-only
-     after this point ([Hashtbl.find_opt] from concurrent tasks is
-     safe).  Entries self-invalidate via the grid-object pin and the
-     summary generations — see the [corridor_cache] contract. *)
+  (* Corridor-cache tables, one per net, allocated up front.  Entries
+     self-invalidate via the summary generations — see the
+     [corridor_cache] contract. *)
   let caches =
     if config.corridor_cache then begin
       let t = Hashtbl.create 64 in
@@ -496,9 +429,7 @@ let route_all grid config nets =
   in
   (* Rip/claim brackets maintaining the [c_commit]/[c_excl] equation
      (see the cache contract above).  Each bracket is a pre-pass over
-     the net's live-grid entries, the usage mutation itself, and a
-     post-pass; the grid is quiescent across each bracket (these run
-     only in the serial phases and the serialized batch-commit loop).
+     the net's entries, the usage mutation itself, and a post-pass.
      [excl_after] is the net's route object right after the mutation:
      [[]] for a rip-up, the claimed cell list for a claim.  Per-entry
      updates commute, so the tables' iteration order never reaches any
@@ -511,17 +442,14 @@ let route_all grid config nets =
            the order entries are visited in *)
         Hashtbl.iter
           (fun (_, _, region) e ->
-            if e.c_grid == grid then
-              e.c_keep <-
-                e.c_commit >= 0
-                && Grid.region_unchanged_since grid ~since:e.c_commit region)
+            e.c_keep <-
+              Grid.region_unchanged_since grid ~since:e.c_commit region)
           tbl;
         mutate ();
         let now = Grid.generation grid in
         (* Entries that fail the pre-pass can never certify again (the
-           window moved for good), and entries pinned to a retired view
-           can never match a future lookup's grid — both are deleted
-           rather than poisoned.  A multi-pin net mints fresh keys every
+           window moved for good), so they are deleted rather than
+           poisoned.  A multi-pin net mints fresh keys every
            iteration as its routed tree changes, so keeping dead entries
            would grow the table — and with it every later bracket's
            pre-pass — linearly in iterations. *)
@@ -530,7 +458,7 @@ let route_all grid config nets =
            writes; the dead list only feeds unordered removals *)
         Hashtbl.iter
           (fun k e ->
-            if e.c_grid == grid && e.c_keep then begin
+            if e.c_keep then begin
               e.c_commit <- now;
               e.c_excl <- excl_after
             end
@@ -540,26 +468,16 @@ let route_all grid config nets =
   in
   let rip net = bracket net [] (fun () -> rip_up net.net_id) in
   let claim_net net cells = bracket net cells (fun () -> claim net.net_id cells) in
-  (* Snapshot routing can sustain a lock-step oscillation: two symmetric
+  (* Batch routing can sustain a lock-step oscillation: two symmetric
      nets avoiding each other's stale position swap cells forever, each
      move depositing history on both alternatives equally.  Serial
      incremental rerouting is immune (the second net reacts to the
-     first's new route), so small conflict batches — where parallelism
-     buys nothing anyway — and stagnating negotiations fall back to it.
-     Both triggers depend only on the trajectory, never on timing or the
-     worker count, so determinism is preserved. *)
+     first's new route), so small conflict batches and stagnating
+     negotiations fall back to it. *)
   let serial_batch_cutoff = 4 in
   let stagnation_limit = 3 in
   let best_overused = ref max_int in
   let stagnant = ref 0 in
-  (* Parallel iterations are possible only when the negotiation set is
-     big enough to ever escape the serial cutoff; only then is the view
-     worth building.  Start the copy now — it overlaps the entire first
-     serial iteration (searches and commits). *)
-  if jobs > 1 && List.length nets > serial_batch_cutoff then begin
-    recording := true;
-    snap_fill := Some (Pool.async (fun () -> Grid.view grid))
-  end;
   while (not !finished) && !iterations_used < config.max_iterations do
     incr iterations_used;
     let batch = Array.of_list !route_set in
@@ -574,9 +492,7 @@ let route_all grid config nets =
          incrementally (each net sees every earlier commitment) exactly
          like classic serial PathFinder — a blind first-iteration batch
          measurably degrades final volume.  Small or stagnating conflict
-         batches take the same path to break snapshot oscillations.  This
-         phase is sequential for every worker count, so determinism is
-         free. *)
+         batches take the same path to break batch oscillations. *)
       Array.iter
         (fun n ->
           rip n;
@@ -593,42 +509,16 @@ let route_all grid config nets =
         | Some cells -> cells
         | None -> []
       in
+      (* the grid is not written until the commit loop below, so every
+         batch net searches the same pre-commit state *)
       let found =
-        if jobs = 1 || Array.length batch <= 1 then
-          (* single worker: the live grid is immutable until the commit
-             phase below, so it doubles as the frozen view — no copy *)
-          Array.map
-            (fun n ->
-              route_net ~corridor_cells:config.corridor_cells
-                ?cache:(cache_of n) grid ~exclude:(exclude_of n)
-                ~penalty:penalty_now ~margin n)
-            batch
-        else begin
-          let v =
-            match !snap with
-            | Some v -> v
-            | None ->
-                (* Defensive: a parallel batch can only follow a synced
-                   serial iteration, but if the view is missing, build
-                   it here — the grid is quiescent at this point. *)
-                recording := true;
-                let v = Grid.view grid in
-                snap := Some v;
-                v
-          in
-          (* pin the old routes down before fanning out: tasks must not
-             read the mutable [routes] table *)
-          let excludes = Array.map exclude_of batch in
-          Pool.map ~jobs
-            (fun (i, n) ->
-              route_net ~corridor_cells:config.corridor_cells
-                ?cache:(cache_of n) v ~exclude:excludes.(i)
-                ~penalty:penalty_now ~margin n)
-            (Array.mapi (fun i n -> (i, n)) batch)
-        end
+        Array.map
+          (fun n ->
+            route_net ~corridor_cells:config.corridor_cells
+              ?cache:(cache_of n) grid ~exclude:(exclude_of n)
+              ~penalty:penalty_now ~margin n)
+          batch
       in
-      (* commit serially, in batch order: commit order, not completion
-         order, decides the trajectory *)
       Array.iteri
         (fun i n ->
           rip n;
@@ -645,15 +535,11 @@ let route_all grid config nets =
     end
     else incr stagnant;
     if config.debug then
-      Printf.eprintf "[pathfinder] iter=%d rerouted=%d overused=%d jobs=%d\n%!"
-        !iterations_used (Array.length batch) (List.length overused) jobs;
+      Printf.eprintf "[pathfinder] iter=%d rerouted=%d overused=%d\n%!"
+        !iterations_used (Array.length batch) (List.length overused);
     if overused = [] && !unrouted = [] then finished := true
     else begin
-      List.iter
-        (fun c ->
-          Grid.add_history grid c config.history_increment;
-          record c)
-        overused;
+      List.iter (fun c -> Grid.add_history grid c config.history_increment) overused;
       penalty := !penalty + config.penalty_growth;
       (* negotiate only where it matters: re-route just the nets that
          cross an overused cell (plus any still-unrouted net) *)
@@ -668,18 +554,8 @@ let route_all grid config nets =
             | Some cells -> List.exists (Hashtbl.mem hot) cells
             | None -> true)
           nets
-    end;
-    (* Bring the shared view back in sync with the live grid (and land
-       the overlapped initial copy after the first iteration).  Doing
-       this even on the final iteration retires the fill task before
-       the cleanup phase mutates the grid unwatched. *)
-    if !recording then sync_view ()
+    end
   done;
-  (* cleanup below routes on the live grid only — retire any pending
-     fill (max_iterations = 0 edge) and stop paying for maintenance *)
-  if !recording then sync_view ();
-  recording := false;
-  snap := None;
   (* Endgame cleanup: negotiation can oscillate between net pairs on a
      handful of cells.  Resolve each residual conflict deterministically:
      hard-block the contested cells and reroute the smallest involved

@@ -9,14 +9,20 @@
     grows; the loop ends when no cell is overused or the iteration
     budget is exhausted.
 
-    Iterations follow the snapshot/commit recipe of parallel PathFinder:
-    the nets under negotiation are ripped up, routed concurrently over
-    {!Tqec_util.Pool} against a frozen snapshot of the congestion state,
-    and committed serially in deterministic net order.  Conflicts hidden
-    by the frozen snapshot surface as overuse at commit time and are
-    renegotiated next iteration, so the trajectory — routes, iteration
-    count and residual overuse — is bit-identical for every worker
-    count. *)
+    The first iteration routes net by net, each net seeing every earlier
+    claim.  Later iterations are Jacobi-style batches on the live grid:
+    every net under negotiation is searched against the same pre-commit
+    congestion state, with its own current route priced out
+    ({!Grid.enter_cost_d}), and the new routes are then committed
+    serially in deterministic net order.  Conflicts the batch could not
+    see surface as overuse at commit time and are renegotiated next
+    iteration.  Small or stagnating batches fall back to net-by-net
+    routing, which breaks lock-step oscillations.
+
+    Everything runs on the caller's domain.  Fanning a batch out over
+    worker domains kept the same routes but was measured slower on a
+    2-vCPU machine, and it needed a racily copied, patched grid view;
+    so the router has no worker count. *)
 
 type net = { net_id : int; pins : Tqec_util.Vec3.t list }
 
@@ -26,10 +32,6 @@ type config = {
   penalty_growth : int;  (** added to the penalty each iteration *)
   history_increment : int;
   region_margin : int;
-  jobs : int option;
-      (** worker domains for the per-iteration net batch; [None] defers
-          to [TQEC_JOBS] / the machine's domain count, [Some 1] routes the
-          batch serially (same results either way) *)
   corridor_cells : int;
       (** search-window volume (in cells) above which a connection takes
           the hierarchical path: a coarse corridor over the grid's tile
@@ -49,9 +51,9 @@ type config = {
           ({!Grid.region_unchanged_since}); the coarse tile-graph A* is
           then skipped and the fine in-corridor search runs directly.
           Every hit is provably identical to recomputing, so routes are
-          bit-identical with the cache on or off and for any worker
-          count — [false] exists for cross-checks and benchmark
-          baselines ({!Counters} reports hit/miss/stale rates). *)
+          bit-identical with the cache on or off — [false] exists for
+          cross-checks and benchmark baselines ({!Counters} reports
+          hit/miss/stale rates). *)
   debug : bool;
       (** per-iteration negotiation trace on stderr.  A config field —
           not an ambient environment read — so concurrent callers (a

@@ -262,8 +262,65 @@ let test_report_rendering () =
   check Alcotest.bool "t1 mentions benchmark" true
     (String.length t1 > 0 && String.length t2 > 0 && String.length t3 > 0);
   let row = List.hd rows in
+  check Alcotest.bool "routed" true row.Report.r_routed;
   check Alcotest.bool "ours <= dual-only (scaled)" true
     (row.Report.r_ours <= (11 * row.Report.r_dual_only / 10))
+
+(* A planted unrouted row with an outsized ratio: every table marks it,
+   and no average may include it. *)
+let test_report_excludes_unrouted () =
+  let row name ~canonical ~dual_only ~routed =
+    {
+      Report.r_name = name;
+      r_stats = { Tqec_icm.Icm.s_qubits = 3; s_cnots = 3; s_y = 0; s_a = 0 };
+      r_modules = 3;
+      r_nodes = 3;
+      r_canonical = canonical;
+      r_lin1d = 50;
+      r_lin2d = 40;
+      r_dual_only = dual_only;
+      r_dual_only_runtime = 0.;
+      r_ours = 10;
+      r_ours_runtime = 0.;
+      r_paper = (List.hd Suite.all).Suite.paper;
+      r_scale = 1;
+      r_routed = routed;
+    }
+  in
+  let rows =
+    [ row "good" ~canonical:100 ~dual_only:20 ~routed:true;
+      row "bad" ~canonical:1000 ~dual_only:90 ~routed:false ]
+  in
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec scan i = i + m <= n && (String.sub s i m = sub || scan (i + 1)) in
+    scan 0
+  in
+  let t1 = Report.table1 rows
+  and t2 = Report.table2 rows
+  and t3 = Report.table3 rows
+  and summary = Report.summary rows in
+  List.iter
+    (fun (what, text) ->
+      check Alcotest.bool (what ^ " marks the row") true
+        (contains text "bad (unrouted)"))
+    [ ("table 1", t1); ("table 2", t2); ("table 3", t3) ];
+  List.iter
+    (fun (what, text) ->
+      check Alcotest.bool (what ^ " counts the exclusion") true
+        (contains text "averages exclude 1 unrouted row(s)"))
+    [ ("table 2", t2); ("table 3", t3); ("summary", summary) ];
+  (* the routed row alone: dual-only 20 / ours 10 = 2 and canonical
+     100 / ours 10 = 10 (with the planted row: 5.5 and 55) *)
+  check Alcotest.bool "table 3 average" true (contains t3 "2.000");
+  check Alcotest.bool "table 3 average excludes the row" false
+    (contains t3 "5.500");
+  check Alcotest.bool "table 2 average" true (contains t2 "10.000");
+  check Alcotest.bool "table 2 average excludes the row" false
+    (contains t2 "55.000");
+  check Alcotest.bool "summary average" true (contains summary "dual-only 2.00 ");
+  check Alcotest.bool "all-routed tables say nothing" false
+    (contains (Report.table3 [ List.hd rows ]) "unrouted")
 
 let test_midsize_benchmark_soundness () =
   (* an end-to-end soundness pass at a few hundred modules: placement
@@ -339,6 +396,8 @@ let suites =
       [
         Alcotest.test_case "fig1 monotone" `Slow test_fig1_series_monotone;
         Alcotest.test_case "report rendering" `Slow test_report_rendering;
+        Alcotest.test_case "unrouted rows excluded" `Quick
+          test_report_excludes_unrouted;
         Alcotest.test_case "mid-size soundness" `Slow
           test_midsize_benchmark_soundness;
         Alcotest.test_case "summary content" `Slow test_summary_mentions_paper;

@@ -89,32 +89,14 @@ let prop_grid_overused_incremental =
       in
       Grid.overused g = brute && Grid.overused_count g = List.length brute)
 
-(* A snapshot freezes the congestion state: mutations of the live grid
-   must not leak into it, and vice versa. *)
-let test_grid_snapshot_isolated () =
-  let g = grid10 () in
-  Grid.add_usage g (vec 1 1 1) 2;
-  Grid.add_history g (vec 4 4 4) 3;
-  let s = Grid.snapshot g in
-  Grid.add_usage g (vec 1 1 1) (-2);
-  Grid.add_usage g (vec 2 2 2) 5;
-  Grid.add_history g (vec 4 4 4) 7;
-  check Alcotest.int "snapshot usage frozen" 2 (Grid.usage s (vec 1 1 1));
-  check Alcotest.int "snapshot other cell" 0 (Grid.usage s (vec 2 2 2));
-  check Alcotest.int "snapshot history frozen" 3 (Grid.history s (vec 4 4 4));
-  check Alcotest.int "snapshot overused frozen" 1 (Grid.overused_count s);
-  Grid.add_usage s (vec 7 7 7) 9;
-  check Alcotest.int "live grid unaffected" 0 (Grid.usage g (vec 7 7 7))
-
 (* The sparse chunked grid against a dense mirror of its semantics:
-   random usage/history/shared trajectories — including a racy-view
-   lifecycle (view, keep mutating, patch every written cell) — must
-   agree cell-for-cell on usage, history and enter_cost, and on the
+   random usage/history/shared trajectories must agree cell-for-cell
+   on usage, history and enter_cost, and on the
    [overused] list in value AND order.  The box spans several tiles per
    axis with a non-zero, non-tile-aligned origin, so tile and offset
    arithmetic is exercised on both sides of every boundary. *)
 let prop_grid_sparse_vs_dense_oracle =
-  QCheck.Test.make ~name:"sparse grid matches dense oracle (with view/patch)"
+  QCheck.Test.make ~name:"sparse grid matches dense oracle"
     ~count:40
     (QCheck.int_range 1 10_000)
     (fun seed ->
@@ -136,8 +118,7 @@ let prop_grid_sparse_vs_dense_oracle =
       let rand_cell () =
         vec (3 + Rng.int rng nx) (-5 + Rng.int rng ny) (2 + Rng.int rng nz)
       in
-      let touched = ref [] in
-      let step record =
+      for _ = 1 to 300 do
         let c = rand_cell () in
         let i = idx c in
         (match Rng.int rng 5 with
@@ -147,32 +128,17 @@ let prop_grid_sparse_vs_dense_oracle =
         | 1 ->
             if Grid.usage g c > 0 then begin
               Grid.add_usage g c (-1);
-              o_usage.(i) <- o_usage.(i) - 1;
-              if record then touched := c :: !touched
+              o_usage.(i) <- o_usage.(i) - 1
             end
         | 2 ->
             let d = 1 + Rng.int rng 3 in
             Grid.add_history g c d;
-            o_hist.(i) <- o_hist.(i) + d;
-            if record then touched := c :: !touched
+            o_hist.(i) <- o_hist.(i) + d
         | _ ->
             let d = 1 + Rng.int rng 2 in
             Grid.add_usage g c d;
-            o_usage.(i) <- o_usage.(i) + d;
-            if record then touched := c :: !touched);
-        ()
-      in
-      for _ = 1 to 150 do
-        step false
+            o_usage.(i) <- o_usage.(i) + d)
       done;
-      (* single-threaded view: an exact copy at this instant; the cells
-         mutated afterwards are recorded and patched, after which the
-         view must equal the live grid everywhere *)
-      let v = Grid.view g in
-      for _ = 1 to 150 do
-        step true
-      done;
-      List.iter (fun c -> Grid.patch_cell ~src:g ~dst:v c) !touched;
       let agree c =
         let i = idx c in
         let expected_cost penalty =
@@ -186,9 +152,6 @@ let prop_grid_sparse_vs_dense_oracle =
         && Grid.history g c = o_hist.(i)
         && Grid.is_shared g c = o_shared.(i)
         && Grid.enter_cost g ~penalty:3 c = expected_cost 3
-        && Grid.usage v c = o_usage.(i)
-        && Grid.history v c = o_hist.(i)
-        && Grid.enter_cost v ~penalty:3 c = expected_cost 3
       in
       let brute =
         List.filter
@@ -201,7 +164,7 @@ let prop_grid_sparse_vs_dense_oracle =
 
 (* Generation counters behind the corridor cache: every summary
    mutation bumps exactly the touched tile's generation — no other
-   tile's, and nothing on pure reads or snapshot/view — and
+   tile's, and nothing on pure reads — and
    [region_unchanged_since] answers from those stamps.  A random
    mutation trajectory is checked step by step against an oracle that
    predicts whether a bump must happen ([add_usage]/[add_history] with
@@ -268,50 +231,7 @@ let prop_grid_generation_tracking =
         if Grid.tile_index g far <> ti then
           expect (Grid.region_unchanged_since g ~since:stamp (Box3.of_cell far))
       done;
-      (* snapshot and view never bump the source; the snapshot inherits
-         the source's timeline at the split, the view starts a fresh
-         zero timeline (stamps taken against a view are valid against
-         that view alone) *)
-      let before = gens () in
-      let stamp = Grid.generation g in
-      let s = Grid.snapshot g in
-      let v = Grid.view g in
-      expect (gens () = before && Grid.generation g = stamp);
-      expect (Grid.generation s = stamp);
-      expect (Grid.generation v = 0 && Grid.region_unchanged_since v ~since:0 box);
-      (* patch_cell bumps the destination's touched tile only when it
-         changes what the summaries report: patching a cell the source
-         just changed invalidates, re-patching the now-equal cell does
-         not (rip-up + identical reclaim must keep corridors cached
-         against the destination valid) *)
-      let c = rand_cell () in
-      Grid.add_usage g c 1;
-      let vstamp = Grid.generation v in
-      Grid.patch_cell ~src:g ~dst:v c;
-      expect (Grid.generation v > vstamp);
-      expect (not (Grid.region_unchanged_since v ~since:vstamp (Box3.of_cell c)));
-      let vstamp = Grid.generation v in
-      Grid.patch_cell ~src:g ~dst:v c;
-      expect (Grid.generation v = vstamp);
       !ok)
-
-(* Satellite of the sparse-grid PR: the long-documented "views answer
-   cost queries only" contract is now enforced instead of silently
-   returning an empty overuse set. *)
-let test_grid_view_rejects_overuse_queries () =
-  let g = grid10 () in
-  Grid.add_usage g (vec 1 1 1) 2;
-  let v = Grid.view g in
-  check Alcotest.int "cost queries still served" 2 (Grid.usage v (vec 1 1 1));
-  (match Grid.overused v with
-  | _ -> Alcotest.fail "overused on a view must raise"
-  | exception Invalid_argument _ -> ());
-  (match Grid.overused_count v with
-  | _ -> Alcotest.fail "overused_count on a view must raise"
-  | exception Invalid_argument _ -> ());
-  (* snapshots keep the full interface *)
-  check Alcotest.int "snapshot still answers" 1
-    (Grid.overused_count (Grid.snapshot g))
 
 let test_grid_mem_tracks_touched_tiles () =
   let g = Grid.create (Box3.make (vec 0 0 0) (vec 63 63 63)) in
@@ -658,11 +578,30 @@ let test_validate_accounting_must_match () =
     (Pathfinder.validate g { r with Pathfinder.overused_after = 2 } nets)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel router determinism                                         *)
+(* Negotiation under congestion                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The [route_all] contract "[grid] retains the final usage state": every
+   cell's usage is the number of returned routes covering it, and the
+   grid's overuse count is the reported [overused_after]. *)
+let grid_matches_routes g (r : Pathfinder.result) =
+  let cover = Hashtbl.create 64 in
+  List.iter
+    (fun (rt : Pathfinder.routed) ->
+      List.iter
+        (fun c ->
+          Hashtbl.replace cover c
+            (1 + Option.value ~default:0 (Hashtbl.find_opt cover c)))
+        rt.Pathfinder.r_cells)
+    r.Pathfinder.routes;
+  List.for_all
+    (fun c ->
+      Grid.usage g c = Option.value ~default:0 (Hashtbl.find_opt cover c))
+    (Box3.cells (Grid.box g))
+  && Grid.overused_count g = r.Pathfinder.overused_after
+
 (* A congested scenario that needs several negotiation iterations, so the
-   parallel batch path really runs: five nets crossing a narrow slab of
+   batch path really runs: five nets crossing a narrow slab of
    height [ymax + 1].  ymax = 4 is routable after real negotiation;
    ymax = 2 is over capacity and exercises the saturated endgame. *)
 let congested_scenario ymax =
@@ -678,38 +617,27 @@ let congested_scenario ymax =
   in
   (g, nets)
 
-let route_congested ymax jobs =
+let route_congested ?(config = Pathfinder.default_config) ymax =
   let g, nets = congested_scenario ymax in
-  let r =
-    Pathfinder.route_all g { Pathfinder.default_config with jobs } nets
-  in
-  (r, Pathfinder.validate g r nets)
+  let r = Pathfinder.route_all g config nets in
+  check Alcotest.(list string) "valid" [] (Pathfinder.validate g r nets);
+  check Alcotest.bool "grid retains the final usage" true
+    (grid_matches_routes g r);
+  r
 
-(* The acceptance-critical property mirroring the placer's: the routing
-   trajectory is a pure function of the input — TQEC_JOBS=1 and
-   TQEC_JOBS=4 give identical routes, iteration counts and residual
-   overuse. *)
-let test_pathfinder_jobs_invariant () =
-  let serial, errs1 = route_congested 4 (Some 1) in
-  let parallel, errs4 = route_congested 4 (Some 4) in
-  check Alcotest.(list string) "serial valid" [] errs1;
-  check Alcotest.(list string) "parallel valid" [] errs4;
-  check Alcotest.bool "identical results" true (serial = parallel);
+(* The slab is routable, but only after real negotiation. *)
+let test_pathfinder_congested_converges () =
+  let r = route_congested 4 in
   check Alcotest.bool "negotiation really iterated" true
-    (serial.Pathfinder.iterations_used > 1);
-  check Alcotest.bool "negotiation converged" true serial.Pathfinder.success
+    (r.Pathfinder.iterations_used > 1);
+  check Alcotest.bool "negotiation converged" true r.Pathfinder.success
 
-(* Same property on a slab that is genuinely over capacity: the router
-   must stay deterministic (and its overuse accounting honest) even when
-   negotiation cannot converge. *)
-let test_pathfinder_jobs_invariant_saturated () =
-  let serial, errs1 = route_congested 2 (Some 1) in
-  let parallel, errs4 = route_congested 2 (Some 4) in
-  check Alcotest.(list string) "serial valid" [] errs1;
-  check Alcotest.(list string) "parallel valid" [] errs4;
-  check Alcotest.bool "identical results" true (serial = parallel);
+(* A slab that is genuinely over capacity: the overuse accounting must
+   stay honest even when negotiation cannot converge. *)
+let test_pathfinder_congested_saturates () =
+  let r = route_congested 2 in
   check Alcotest.bool "saturation reported" true
-    (serial.Pathfinder.overused_after > 0 && not serial.Pathfinder.success)
+    (r.Pathfinder.overused_after > 0 && not r.Pathfinder.success)
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchical corridor search                                        *)
@@ -786,24 +714,15 @@ let test_corridor_minimal_when_feasible () =
         (Astar.path_cost g ~penalty:2 flat)
         (Astar.path_cost g ~penalty:2 path)
 
-(* Worker-count invariance holds with the hierarchical path forced on:
-   the corridor decisions read only deterministic tile summaries. *)
-let test_corridor_jobs_invariant () =
-  let route jobs =
-    let g, nets = congested_scenario 4 in
-    let r =
-      Pathfinder.route_all g
-        { Pathfinder.default_config with jobs; corridor_cells = 0 }
-        nets
-    in
-    (r, Pathfinder.validate g r nets)
+(* The congested negotiation still converges with the hierarchical path
+   forced on for every search. *)
+let test_corridor_congested_converges () =
+  let r =
+    route_congested
+      ~config:{ Pathfinder.default_config with corridor_cells = 0 }
+      4
   in
-  let serial, errs1 = route (Some 1) in
-  let parallel, errs4 = route (Some 4) in
-  check Alcotest.(list string) "serial valid" [] errs1;
-  check Alcotest.(list string) "parallel valid" [] errs4;
-  check Alcotest.bool "identical results" true (serial = parallel);
-  check Alcotest.bool "converged" true serial.Pathfinder.success
+  check Alcotest.bool "converged" true r.Pathfinder.success
 
 (* Corridor-widening regression: when the margin-inflated corridor
    already covers the whole grid, the escalation must stop after one
@@ -840,7 +759,9 @@ let prop_pathfinder_random_nets_valid =
         (fun (n : Pathfinder.net) -> List.iter (Grid.set_shared g) n.Pathfinder.pins)
         nets;
       let r = Pathfinder.route_all g Pathfinder.default_config nets in
-      r.Pathfinder.success && Pathfinder.validate g r nets = [])
+      r.Pathfinder.success
+      && Pathfinder.validate g r nets = []
+      && grid_matches_routes g r)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: route-stage jobs invariance on suite circuits           *)
@@ -891,10 +812,7 @@ let suites =
         Alcotest.test_case "obstacles" `Quick test_grid_obstacles;
         Alcotest.test_case "shared cells" `Quick test_grid_shared;
         Alcotest.test_case "overused" `Quick test_grid_overused;
-        Alcotest.test_case "snapshot isolated" `Quick test_grid_snapshot_isolated;
         Alcotest.test_case "die cost" `Quick test_grid_die_cost;
-        Alcotest.test_case "view rejects overuse queries" `Quick
-          test_grid_view_rejects_overuse_queries;
         Alcotest.test_case "mem tracks touched tiles" `Quick
           test_grid_mem_tracks_touched_tiles;
         qtest prop_grid_overused_incremental;
@@ -919,9 +837,10 @@ let suites =
         Alcotest.test_case "unroutable" `Quick test_pathfinder_unroutable;
         Alcotest.test_case "unroutable, grid-wide corridor" `Quick
           test_pathfinder_unroutable_wide_corridor;
-        Alcotest.test_case "jobs invariant" `Quick test_pathfinder_jobs_invariant;
-        Alcotest.test_case "jobs invariant (saturated)" `Quick
-          test_pathfinder_jobs_invariant_saturated;
+        Alcotest.test_case "congested converges" `Quick
+          test_pathfinder_congested_converges;
+        Alcotest.test_case "congested saturates" `Quick
+          test_pathfinder_congested_saturates;
         qtest prop_pathfinder_random_nets_valid;
       ] );
     ( "route.corridor",
@@ -932,8 +851,8 @@ let suites =
           test_corridor_fallback_matches_flat_route;
         Alcotest.test_case "minimal when feasible" `Quick
           test_corridor_minimal_when_feasible;
-        Alcotest.test_case "jobs invariant (corridor forced)" `Quick
-          test_corridor_jobs_invariant;
+        Alcotest.test_case "negotiates when forced" `Quick
+          test_corridor_congested_converges;
       ] );
     ( "route.validate",
       [

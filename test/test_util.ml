@@ -541,22 +541,10 @@ let test_pool_spawn_error_surfaced () =
   check Alcotest.bool "global pool healthy" true
     ((Pool.stats ()).Pool.spawn_error = None)
 
-let test_pool_async_await () =
-  let p = Pool.async (fun () -> 6 * 7) in
-  check Alcotest.int "await returns" 42 (Pool.await p);
-  (* awaiting again returns the memoised value *)
-  check Alcotest.int "await idempotent" 42 (Pool.await p);
-  let q = Pool.async (fun () -> failwith "late") in
-  let raised = try ignore (Pool.await q); false with Failure m -> m = "late" in
-  check Alcotest.bool "await re-raises" true raised;
-  (* async composes with map running on the same scheduler *)
-  let r = Pool.async (fun () -> Array.fold_left ( + ) 0 (Pool.map ~jobs:4 succ (Array.init 10 (fun i -> i)))) in
-  check Alcotest.int "async over nested map" 55 (Pool.await r)
-
 let test_pool_jobs_invariance_combined () =
   (* the jobs-invariance contract on a composed workload: an outer map
      (suite instances) over inner maps with data-dependent sizes
-     (restart lanes / routing batches) must give identical results for
+     (restart lanes) must give identical results for
      every job count, including the serial path *)
   let workload jobs =
     Pool.map ~jobs
@@ -685,7 +673,6 @@ let suites =
           test_pool_nested_exception;
         Alcotest.test_case "helper drains without workers" `Quick
           test_pool_helper_drains_without_workers;
-        Alcotest.test_case "async/await" `Quick test_pool_async_await;
         Alcotest.test_case "spawn error surfaced in stats" `Quick
           test_pool_spawn_error_surfaced;
         Alcotest.test_case "combined jobs invariance" `Quick
