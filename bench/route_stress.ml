@@ -242,10 +242,144 @@ let corridor_cache_stress () =
   warm.Pathfinder.success && cache_invariant && accounted
   && grows = 0 && pipeline_hits > 0 && pipeline_invariant
 
+(* Allocation gates.  [Gc.minor_words] repeats exactly for the same
+   single-domain computation, so these are work counts, not walls: they
+   pin that the flat A* kernel and geometry emission stay free of
+   per-step allocation. *)
+module Astar = Tqec_route.Astar
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (r, int_of_float (Gc.minor_words () -. before))
+
+(* Pops [search ~max_expansions] needs to succeed: the least budget
+   that returns a path (the search is deterministic, so success is
+   monotone in the budget). *)
+let expansions_needed search =
+  let rec go lo hi =
+    (* invariant: budget [lo] fails, budget [hi] succeeds *)
+    if hi - lo <= 1 then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if search ~max_expansions:mid <> None then go lo mid else go mid hi
+  in
+  go 0 400_000
+
+(* Gate 1: on a warmed scratch, a short straight search and a long
+   detour around a wall — expansion counts at least 10x apart — allocate
+   minor words that differ by at most a constant plus a few words per
+   path cell (the returned list and its [Vec3.t]s).  A kernel that
+   allocates per expansion fails by thousands of words. *)
+let astar_allocation_gate () =
+  let g = Grid.create (Box3.make Vec3.zero (Vec3.make 39 39 0)) in
+  for y = 1 to 38 do
+    Grid.set_obstacle g (Vec3.make 20 y 0)
+  done;
+  let region = Grid.box g in
+  let scratch = Astar.create_scratch () in
+  let search ~target ~max_expansions =
+    Astar.search ~scratch ~max_expansions g ~region ~penalty:4
+      ~sources:[ Vec3.make 18 20 0 ] ~target
+  in
+  let short = search ~target:(Vec3.make 18 26 0)
+  and detour = search ~target:(Vec3.make 22 20 0) in
+  let x_short = expansions_needed short
+  and x_detour = expansions_needed detour in
+  let measure s =
+    ignore (s ~max_expansions:400_000);
+    match minor_words_of (fun () -> s ~max_expansions:400_000) with
+    | Some path, words -> (List.length path, words)
+    | None, _ -> (0, max_int)
+  in
+  let len_short, w_short = measure short in
+  let len_detour, w_detour = measure detour in
+  let per_cell = 8 and constant = 256 in
+  let bound = constant + (per_cell * (len_short + len_detour)) in
+  let spread = x_detour >= 10 * x_short in
+  let flat = abs (w_detour - w_short) <= bound in
+  Printf.printf
+    "[route-stress] astar-alloc        expansions=%d/%d path=%d/%d      minor-words=%d/%d bound=%d spread=%b flat=%b\n%!"
+    x_short x_detour len_short len_detour w_short w_detour bound spread flat;
+  if not spread then
+    Printf.eprintf
+      "[route-stress]   error: gate searches expand %d vs %d cells (want \
+       >= 10x apart)\n%!"
+      x_short x_detour;
+  if not flat then
+    Printf.eprintf
+      "[route-stress]   error: flat A* allocation grows with expansions \
+       (%d vs %d minor words, bound %d)\n%!"
+      w_short w_detour bound;
+  spread && flat
+
+(* Gate 2: emission minor words per defect on a tier-x1 circuit stay
+   within 2x of those on a quarter-size circuit of the same family:
+   linear emission keeps the per-defect cost flat, a quadratic one
+   scales it with the circuit (about 4x here). *)
+let emit_allocation_gate () =
+  let module Generator = Tqec_circuit.Generator in
+  let module Emit_core = Tqec_compress.Emit_core in
+  let quarter =
+    Generator.generate
+      {
+        Generator.name = "tier-x1/4";
+        n_wires = 10;
+        n_toffoli = 1;
+        n_cnot = 8;
+        n_not = 1;
+        n_unused = 0;
+        seed = 4100;
+      }
+  in
+  let per_defect circuit =
+    let r =
+      Pipeline.run
+        ~config:
+          {
+            Pipeline.default_config with
+            effort = Tqec_place.Placer.Quick;
+            seed;
+            jobs = Some 1;
+          }
+        circuit
+    in
+    let emit () =
+      Emit_core.geometry ~name:"gate" ~graph:r.Pipeline.graph
+        ~flipping:r.Pipeline.flipping ~placement:r.Pipeline.placement
+        ~routing:r.Pipeline.routing
+    in
+    ignore (emit ());
+    let g, words = minor_words_of emit in
+    let n = List.length g.Tqec_geom.Geometry.defects in
+    (n, float_of_int words /. float_of_int (max 1 n))
+  in
+  let n_small, w_small = per_defect quarter in
+  let n_big, w_big = per_defect (Generator.scale_tier ~factor:1 ()) in
+  let sized = n_big >= 3 * n_small in
+  let linear = w_big <= 2. *. w_small in
+  Printf.printf
+    "[route-stress] emit-alloc         defects=%d/%d words-per-defect=%.1f/%.1f \
+     sized=%b linear=%b\n%!"
+    n_small n_big w_small w_big sized linear;
+  if not sized then
+    Printf.eprintf
+      "[route-stress]   error: gate circuits emit %d vs %d defects (want \
+       >= 3x apart)\n%!"
+      n_small n_big;
+  if not linear then
+    Printf.eprintf
+      "[route-stress]   error: emission words per defect grow with the \
+       circuit (%.1f vs %.1f, want within 2x)\n%!"
+      w_small w_big;
+  sized && linear
+
 let () =
   let ok = List.fold_left (fun acc name -> run_one name && acc) true benchmarks in
   let ok = sparse_substrate () && ok in
   let ok = corridor_cache_stress () && ok in
+  let ok = astar_allocation_gate () && ok in
+  let ok = emit_allocation_gate () && ok in
   if ok then print_endline "[route-stress] all geometries legal"
   else begin
     prerr_endline "[route-stress] FAILED";

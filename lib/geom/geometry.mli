@@ -19,11 +19,11 @@ type t = {
   boxes : distill_box list;
 }
 
-val empty : string -> t
-
-val add_defect : t -> Defect.t -> t
-
-val add_box : t -> distill_box -> t
+(** [make ~name ~defects ~boxes] is the description with exactly these
+    lists, in this order.  It is the one constructor: emitters build
+    their lists first (consing in reverse, then one [List.rev]) and
+    construct once, so building a description is linear in its size. *)
+val make : name:string -> defects:Defect.t list -> boxes:distill_box list -> t
 
 (** [y_box_dims] = (3,3,2); [a_box_dims] = (16,6,2); volumes 18 / 192. *)
 val y_box_dims : int * int * int

@@ -59,30 +59,48 @@ let grow scr cells =
     scr.cap <- cap
   end
 
+(* Every kernel searches [region] clipped to the grid box; a region
+   disjoint from the grid, or one that misses the target, has no path. *)
+let clip grid region target =
+  match Box3.inter region (Grid.box grid) with
+  | Some r when Box3.contains r target -> Some r
+  | _ -> None
+
 (* Region-local dense state: corridors are small, so flat arrays beat
-   hashing on both speed and allocation. *)
+   hashing on both speed and allocation.
+
+   The kernel is unboxed: a cell is its region code
+   [((x * ny) + y) * nz + z] over region-local coordinates, neighbours
+   are code offsets (+-ny*nz, +-nz, +-1) behind integer bounds tests,
+   grid reads go through the integer-coordinate [Grid] queries, and the
+   open queue pops through [top_key]/[pop_value].  Without flambda a
+   decoded [Vec3.t], a neighbour list, a tile tuple per grid read or a
+   popped pair would each be a heap allocation per expansion; as it is,
+   only the per-source set-up and the returned path allocate
+   (@route-stress gates this).
+
+   Invariant behind the bit-identical routes guarantee: neighbours are
+   relaxed in the order +x, -x, +y, -y, +z, -z (the order of
+   [Vec3.axis_neighbors]), and the open queue pops by (key,
+   insertion sequence).  Together they fix which of several equal-cost
+   paths is found; changing either reorders equal-cost pops and can
+   change routes. *)
 let search ?scratch ?(max_expansions = 400_000) ?(avoid_used = false)
     ?(exclude = []) grid ~region ~penalty ~sources ~target =
-  let region =
-    match Box3.inter region (Grid.box grid) with
-    | Some r -> r
-    | None -> Grid.box grid
-  in
-  let lo = region.Box3.lo in
-  let nx = Box3.dx region and ny = Box3.dy region and nz = Box3.dz region in
-  let cells = nx * ny * nz in
-  let encode (p : Vec3.t) =
-    ((((p.x - lo.Vec3.x) * ny) + (p.y - lo.Vec3.y)) * nz) + (p.z - lo.Vec3.z)
-  in
-  let decode i =
-    let z = i mod nz in
-    let rest = i / nz in
-    let y = rest mod ny in
-    let x = rest / ny in
-    Vec3.make (x + lo.Vec3.x) (y + lo.Vec3.y) (z + lo.Vec3.z)
-  in
-  if not (Box3.contains region target) then None
-  else begin
+  match clip grid region target with
+  | None -> None
+  | Some region ->
+    let lo = region.Box3.lo in
+    let x0 = lo.Vec3.x and y0 = lo.Vec3.y and z0 = lo.Vec3.z in
+    let nx = Box3.dx region and ny = Box3.dy region and nz = Box3.dz region in
+    let syz = ny * nz in
+    let cells = nx * syz in
+    let encode (p : Vec3.t) = ((((p.x - x0) * ny) + (p.y - y0)) * nz) + (p.z - z0) in
+    let decode i =
+      let z = i mod nz in
+      let rest = i / nz in
+      Vec3.make ((rest / ny) + x0) ((rest mod ny) + y0) (z + z0)
+    in
     Atomic.incr Counters.flat_searches;
     let scr = match scratch with Some s -> s | None -> create_scratch () in
     let exempt = scr.exempt in
@@ -93,12 +111,10 @@ let search ?scratch ?(max_expansions = 400_000) ?(avoid_used = false)
       sources;
     let target_code = encode target in
     Hashtbl.replace exempt target_code ();
-    let passable p code =
-      Hashtbl.mem exempt code
-      || ((not (Grid.is_obstacle grid p))
-         && ((not avoid_used)
-            || Grid.is_shared grid p
-            || Grid.usage grid p < Grid.capacity))
+    (* absolute coordinates; sources and target pass whatever the grid
+       says *)
+    let passable x y z code =
+      Grid.passable_at grid ~avoid_used x y z || Hashtbl.mem exempt code
     in
     grow scr cells;
     scr.gen <- scr.gen + 1;
@@ -115,13 +131,13 @@ let search ?scratch ?(max_expansions = 400_000) ?(avoid_used = false)
        coordinates): the stale-entry check at pop never decodes the cell
        or re-derives the Manhattan distance. *)
     let tx = target.Vec3.x and ty = target.Vec3.y and tz = target.Vec3.z in
-    let touch (p : Vec3.t) code =
+    let touch x y z code =
       if stamp.(code) <> gen then begin
         stamp.(code) <- gen;
         g_score.(code) <- max_int;
         parent.(code) <- -1;
         own.(code) <- false;
-        h_cache.(code) <- abs (p.x - tx) + abs (p.y - ty) + abs (p.z - tz)
+        h_cache.(code) <- abs (x - tx) + abs (y - ty) + abs (z - tz)
       end
     in
     (* Cells of the searching net's own current route are priced as if
@@ -130,57 +146,61 @@ let search ?scratch ?(max_expansions = 400_000) ?(avoid_used = false)
     let have_own = exclude <> [] in
     if have_own then
       List.iter
-        (fun c ->
+        (fun (c : Vec3.t) ->
           if Box3.contains region c then begin
             let code = encode c in
-            touch c code;
+            touch c.x c.y c.z code;
             own.(code) <- true
           end)
         exclude;
     List.iter
-      (fun s ->
+      (fun (s : Vec3.t) ->
         if Box3.contains region s then begin
           let code = encode s in
-          if passable s code then begin
-            touch s code;
+          if passable s.x s.y s.z code then begin
+            touch s.x s.y s.z code;
             g_score.(code) <- 0;
             Pqueue.push open_q h_cache.(code) code
           end
         end)
       sources;
+    (* Relax the edge from [code] (g-score [gp]) into the in-region cell
+       [qcode] at absolute coordinates (x, y, z). *)
+    let relax code gp qcode x y z =
+      if passable x y z qcode then begin
+        touch x y z qcode;
+        let dusage = if have_own && own.(qcode) then -1 else 0 in
+        let tentative = gp + Grid.enter_cost_at grid ~penalty ~dusage x y z in
+        if tentative < g_score.(qcode) then begin
+          g_score.(qcode) <- tentative;
+          parent.(qcode) <- code;
+          Pqueue.push open_q (tentative + h_cache.(qcode)) qcode
+        end
+      end
+    in
     let found = ref false in
     let expansions = ref 0 in
     while (not !found) && (not (Pqueue.is_empty open_q))
           && !expansions < max_expansions do
       incr expansions;
-      let f, code = Pqueue.pop open_q in
+      let f = Pqueue.top_key open_q in
+      let code = Pqueue.pop_value open_q in
       let gp = g_score.(code) in
       (* skip stale queue entries *)
       if f <= gp + h_cache.(code) then begin
         if code = target_code then found := true
-        else
-          let p = decode code in
-          List.iter
-            (fun q ->
-              if Box3.contains region q then begin
-                let qcode = encode q in
-                if passable q qcode then begin
-                  touch q qcode;
-                  let tentative =
-                    gp
-                    +
-                    if have_own && own.(qcode) then
-                      Grid.enter_cost_d grid ~penalty ~dusage:(-1) q
-                    else Grid.enter_cost grid ~penalty q
-                  in
-                  if tentative < g_score.(qcode) then begin
-                    g_score.(qcode) <- tentative;
-                    parent.(qcode) <- code;
-                    Pqueue.push open_q (tentative + h_cache.(qcode)) qcode
-                  end
-                end
-              end)
-            (Vec3.axis_neighbors p)
+        else begin
+          let lz = code mod nz in
+          let rest = code / nz in
+          let ly = rest mod ny and lx = rest / ny in
+          let x = lx + x0 and y = ly + y0 and z = lz + z0 in
+          if lx + 1 < nx then relax code gp (code + syz) (x + 1) y z;
+          if lx > 0 then relax code gp (code - syz) (x - 1) y z;
+          if ly + 1 < ny then relax code gp (code + nz) x (y + 1) z;
+          if ly > 0 then relax code gp (code - nz) x (y - 1) z;
+          if lz + 1 < nz then relax code gp (code + 1) x y (z + 1);
+          if lz > 0 then relax code gp (code - 1) x y (z - 1)
+        end
       end
     done;
     if not !found then None
@@ -191,7 +211,6 @@ let search ?scratch ?(max_expansions = 400_000) ?(avoid_used = false)
       in
       Some (backtrack [] target_code)
     end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchical corridor search.                                       *)
@@ -246,13 +265,9 @@ let coarse_penalty = 6
    is bit-identical either way. *)
 let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
     ~(target : Vec3.t) =
-  let region =
-    match Box3.inter region (Grid.box grid) with
-    | Some r -> r
-    | None -> Grid.box grid
-  in
-  if not (Box3.contains region target) then None
-  else begin
+  match clip grid region target with
+  | None -> None
+  | Some region -> begin
   Atomic.incr Counters.coarse_searches;
   let penalty = coarse_penalty in
   let _, tdy, tdz = Grid.tile_dims grid in
@@ -441,13 +456,9 @@ let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
    the region's bounding volume. *)
 let fine_in_corridor ?(max_expansions = 400_000) ?(avoid_used = false)
     ?(exclude = []) scr grid ~corridor ~region ~penalty ~sources ~target =
-  let region =
-    match Box3.inter region (Grid.box grid) with
-    | Some r -> r
-    | None -> Grid.box grid
-  in
-  if not (Box3.contains region target) then None
-  else begin
+  match clip grid region target with
+  | None -> None
+  | Some region -> begin
     Atomic.incr Counters.fine_searches;
     let tcells = Grid.tile_cells in
     let slots = Array.of_list corridor in
@@ -583,13 +594,9 @@ let fine_in_corridor ?(max_expansions = 400_000) ?(avoid_used = false)
 
 let search_corridor ?scratch ?(max_expansions = 400_000) ?(avoid_used = false)
     ?(exclude = []) grid ~region ~penalty ~sources ~target =
-  let region =
-    match Box3.inter region (Grid.box grid) with
-    | Some r -> r
-    | None -> Grid.box grid
-  in
-  if not (Box3.contains region target) then None
-  else
+  match clip grid region target with
+  | None -> None
+  | Some region ->
     let scr = match scratch with Some s -> s | None -> create_scratch () in
     match coarse_corridor ~exclude scr grid ~region ~sources ~target with
     | None -> None

@@ -18,8 +18,9 @@ val create_scratch : unit -> scratch
 
 (** [search grid ~region ~penalty ~sources ~target] returns the cell path
     from some source to [target] (both inclusive), or [None] when
-    unreachable within the region or when [max_expansions] pops are
-    exhausted (a safety valve against pathological searches).  With
+    unreachable within the region (clipped to the grid box; a region
+    disjoint from the grid reaches nothing) or when [max_expansions]
+    pops are exhausted (a safety valve against pathological searches).  With
     [avoid_used], cells already at capacity are treated as blocked, so a
     found path can never create overuse (the cleanup mode of the
     negotiation loop).  [exclude] lists cells priced as if their usage
@@ -29,7 +30,15 @@ val create_scratch : unit -> scratch
     only and does not interact with the [avoid_used] passability test
     (the negotiation loop never combines the two).  [scratch] reuses a
     caller-owned workspace instead of allocating fresh arrays; results
-    are identical either way. *)
+    are identical either way.
+
+    Which of several equal-cost paths is returned is fixed by two kernel
+    invariants: a cell's neighbours are relaxed in the order +x, -x, +y,
+    -y, +z, -z, and the open queue pops by (key, insertion sequence)
+    ({!Tqec_util.Pqueue}).  Every route is bit-identical across
+    implementations that keep both.  On a warmed [scratch] the search
+    allocates nothing per expansion: only its result path and per-source
+    bookkeeping. *)
 val search :
   ?scratch:scratch ->
   ?max_expansions:int ->
@@ -58,7 +67,8 @@ val coarse_penalty : int
     coarse path's tiles plus their in-region axis neighbors, as tile
     indices in deterministic discovery order — or [None] when the
     coarse graph offers no path or the target lies outside [region]
-    (clipped to the grid box).
+    (clipped to the grid box; a region disjoint from the grid yields
+    [None]).
 
     [exclude] prices the net's own current route out of the tile
     congestion (per-tile count subtraction of the cells' own +1 usage)

@@ -103,19 +103,20 @@ let cell_of_index g i =
   let x = rest / g.ny in
   Vec3.make (lo.Vec3.x + x) (lo.Vec3.y + y) (lo.Vec3.z + z)
 
-(* Tile directory index and within-tile cell index of [p]. *)
+(* Tile directory index and within-tile cell index of the cell at
+   box-relative coordinates (x, y, z). *)
+let tile_rel g x y z =
+  (((x lsr tile_bits) * g.ty) + (y lsr tile_bits)) * g.tz + (z lsr tile_bits)
+
+let cell_rel x y z =
+  (((x land tile_mask) lsl tile_bits) lor (y land tile_mask)) lsl tile_bits
+  lor (z land tile_mask)
+
 let tile_cell g (p : Vec3.t) =
   let x = p.x - g.box.Box3.lo.Vec3.x in
   let y = p.y - g.box.Box3.lo.Vec3.y in
   let z = p.z - g.box.Box3.lo.Vec3.z in
-  let ti =
-    (((x lsr tile_bits) * g.ty) + (y lsr tile_bits)) * g.tz + (z lsr tile_bits)
-  in
-  let ci =
-    (((x land tile_mask) lsl tile_bits) lor (y land tile_mask)) lsl tile_bits
-    lor (z land tile_mask)
-  in
-  (ti, ci)
+  (tile_rel g x y z, cell_rel x y z)
 
 let guard g p name =
   if not (in_bounds g p) then
@@ -212,20 +213,54 @@ let add_history g p delta =
   t.t_sum_hist <- t.t_sum_hist + delta;
   if delta <> 0 then bump_gen g ti
 
-let enter_cost_d g ~penalty ~dusage p =
-  guard g p "enter_cost";
-  let base = if Box3.contains g.die p then 1 else 1 + outside_die_cost in
-  let ti, ci = tile_cell g p in
-  match g.tiles.(ti) with
+(* Integer-coordinate queries for the flat A* kernel: one tile read per
+   call and no tuple or [Vec3.t] in sight, so the hot loop allocates
+   nothing.  The bounds test raises with a constant message for the same
+   reason. *)
+let in_box_rel g x y z =
+  x >= 0 && y >= 0 && z >= 0 && x < g.nx && y < g.ny && z < g.nz
+
+let passable_at g ~avoid_used x y z =
+  let lo = g.box.Box3.lo in
+  let x = x - lo.Vec3.x and y = y - lo.Vec3.y and z = z - lo.Vec3.z in
+  if not (in_box_rel g x y z) then invalid_arg "Grid.passable_at: out of bounds";
+  match g.tiles.(tile_rel g x y z) with
+  | None -> true (* untouched tile: no obstacle, usage 0 *)
+  | Some t ->
+      let ci = cell_rel x y z in
+      Bytes.get t.t_obst ci <> '\001'
+      && ((not avoid_used)
+         || Bytes.get t.t_shared ci = '\001'
+         || t.t_usage.(ci) < capacity)
+
+let enter_cost_at g ~penalty ~dusage x y z =
+  let die = g.die in
+  let base =
+    if
+      x >= die.Box3.lo.Vec3.x && x <= die.Box3.hi.Vec3.x
+      && y >= die.Box3.lo.Vec3.y && y <= die.Box3.hi.Vec3.y
+      && z >= die.Box3.lo.Vec3.z && z <= die.Box3.hi.Vec3.z
+    then 1
+    else 1 + outside_die_cost
+  in
+  let lo = g.box.Box3.lo in
+  let x = x - lo.Vec3.x and y = y - lo.Vec3.y and z = z - lo.Vec3.z in
+  if not (in_box_rel g x y z) then invalid_arg "Grid.enter_cost_at: out of bounds";
+  match g.tiles.(tile_rel g x y z) with
   | None ->
       (* untouched tile: usage 0, history 0, not shared *)
       let over = dusage + 1 - capacity in
       base + (if over > 0 then penalty * over else 0)
   | Some t ->
+      let ci = cell_rel x y z in
       if Bytes.get t.t_shared ci = '\001' then base + t.t_hist.(ci)
       else
         let over = t.t_usage.(ci) + dusage + 1 - capacity in
         base + t.t_hist.(ci) + (if over > 0 then penalty * over else 0)
+
+let enter_cost_d g ~penalty ~dusage (p : Vec3.t) =
+  guard g p "enter_cost";
+  enter_cost_at g ~penalty ~dusage p.x p.y p.z
 
 let enter_cost g ~penalty p = enter_cost_d g ~penalty ~dusage:0 p
 
@@ -247,10 +282,8 @@ let n_tiles g = g.tx * g.ty * g.tz
 let tile_dims g = (g.tx, g.ty, g.tz)
 
 let tile_index g (p : Vec3.t) =
-  let x = p.x - g.box.Box3.lo.Vec3.x in
-  let y = p.y - g.box.Box3.lo.Vec3.y in
-  let z = p.z - g.box.Box3.lo.Vec3.z in
-  (((x lsr tile_bits) * g.ty) + (y lsr tile_bits)) * g.tz + (z lsr tile_bits)
+  let lo = g.box.Box3.lo in
+  tile_rel g (p.x - lo.Vec3.x) (p.y - lo.Vec3.y) (p.z - lo.Vec3.z)
 
 let tile_coords g ti =
   let z = ti mod g.tz in

@@ -66,6 +66,22 @@ val enter_cost : t -> penalty:int -> Tqec_util.Vec3.t -> int
     of a negotiation batch search the same, unmodified grid. *)
 val enter_cost_d : t -> penalty:int -> dusage:int -> Tqec_util.Vec3.t -> int
 
+(** {2 Integer-coordinate queries}
+
+    The flat A* kernel's per-neighbour reads, taking the cell as three
+    absolute coordinates instead of a {!Tqec_util.Vec3.t}: each reads
+    one tile and allocates nothing.  The cell must lie in {!box};
+    both raise [Invalid_argument] otherwise. *)
+
+(** [passable_at g ~avoid_used x y z] is
+    [not (is_obstacle g p) && (not avoid_used || is_shared g p
+    || usage g p < capacity)] for the cell [p] at (x, y, z). *)
+val passable_at : t -> avoid_used:bool -> int -> int -> int -> bool
+
+(** [enter_cost_at g ~penalty ~dusage x y z] is
+    [enter_cost_d g ~penalty ~dusage p] for the cell [p] at (x, y, z). *)
+val enter_cost_at : t -> penalty:int -> dusage:int -> int -> int -> int -> int
+
 (** [overused g] lists cells with usage above capacity, in lexicographic
     (x, y, z) order.  The set is maintained incrementally by
     {!add_usage}/{!set_shared}, so the call is O(overused log overused) —

@@ -1,75 +1,105 @@
-type 'a entry = { key : int; seq : int; value : 'a }
-
+(* Structure of arrays: slot [i] holds (keys.(i), seqs.(i), vals.(i)).
+   [int] keys and sequence numbers live unboxed, so a push or pop
+   allocates nothing beyond the occasional geometric growth (and, with
+   immediate values, nothing at all). *)
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable keys : int array;
+  mutable seqs : int array;
+  mutable vals : 'a array;
   mutable len : int;
   mutable next_seq : int;
 }
 
-let create () = { data = [||]; len = 0; next_seq = 0 }
+let create () = { keys = [||]; seqs = [||]; vals = [||]; len = 0; next_seq = 0 }
 let length t = t.len
 let is_empty t = t.len = 0
 
-let less a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
+(* Slot [i] orders strictly before (key, seq). *)
+let before t i key seq =
+  let k = t.keys.(i) in
+  k < key || (k = key && t.seqs.(i) < seq)
 
-let grow t e =
-  let cap = Array.length t.data in
+(* [v] fills the fresh slots; it is overwritten before being read. *)
+let grow t v =
+  let cap = Array.length t.keys in
   if t.len = cap then begin
     let ncap = max 16 (2 * cap) in
-    let data = Array.make ncap e in
-    Array.blit t.data 0 data 0 t.len;
-    t.data <- data
+    let keys = Array.make ncap 0 and seqs = Array.make ncap 0 in
+    let vals = Array.make ncap v in
+    Array.blit t.keys 0 keys 0 t.len;
+    Array.blit t.seqs 0 seqs 0 t.len;
+    Array.blit t.vals 0 vals 0 t.len;
+    t.keys <- keys;
+    t.seqs <- seqs;
+    t.vals <- vals
   end
 
-let push t key value =
-  let e = { key; seq = t.next_seq; value } in
-  t.next_seq <- t.next_seq + 1;
-  grow t e;
+let set t i key seq v =
+  t.keys.(i) <- key;
+  t.seqs.(i) <- seq;
+  t.vals.(i) <- v
+
+let move t ~src ~dst = set t dst t.keys.(src) t.seqs.(src) t.vals.(src)
+
+let push t key v =
+  grow t v;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  (* sift up: move parents down into the hole until (key, seq) fits *)
   let i = ref t.len in
   t.len <- t.len + 1;
-  t.data.(!i) <- e;
-  (* sift up *)
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if less t.data.(!i) t.data.(parent) then begin
-      let tmp = t.data.(parent) in
-      t.data.(parent) <- t.data.(!i);
-      t.data.(!i) <- tmp;
+    if before t parent key seq then continue := false
+    else begin
+      move t ~src:parent ~dst:!i;
       i := parent
     end
-    else continue := false
-  done
+  done;
+  set t !i key seq v
 
-let peek t =
+let top_key t =
   if t.len = 0 then raise Not_found;
-  let e = t.data.(0) in
-  (e.key, e.value)
+  t.keys.(0)
 
-let pop t =
+let pop_value t =
   if t.len = 0 then raise Not_found;
-  let top = t.data.(0) in
-  t.len <- t.len - 1;
-  if t.len > 0 then begin
-    t.data.(0) <- t.data.(t.len);
-    (* sift down *)
+  let top = t.vals.(0) in
+  let n = t.len - 1 in
+  t.len <- n;
+  if n > 0 then begin
+    (* sift the last entry down from the root: move the smaller child up
+       into the hole until the entry fits *)
+    let key = t.keys.(n) and seq = t.seqs.(n) and v = t.vals.(n) in
     let i = ref 0 in
     let continue = ref true in
     while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < t.len && less t.data.(l) t.data.(!smallest) then smallest := l;
-      if r < t.len && less t.data.(r) t.data.(!smallest) then smallest := r;
-      if !smallest <> !i then begin
-        let tmp = t.data.(!smallest) in
-        t.data.(!smallest) <- t.data.(!i);
-        t.data.(!i) <- tmp;
-        i := !smallest
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n && before t r t.keys.(l) t.seqs.(l) then r else l
+        in
+        if before t c key seq then begin
+          move t ~src:c ~dst:!i;
+          i := c
+        end
+        else continue := false
       end
-      else continue := false
-    done
+    done;
+    set t !i key seq v
   end;
-  (top.key, top.value)
+  top
+
+let peek t =
+  if t.len = 0 then raise Not_found;
+  (t.keys.(0), t.vals.(0))
+
+let pop t =
+  let key = top_key t in
+  (key, pop_value t)
 
 let clear t =
   t.len <- 0;

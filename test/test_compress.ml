@@ -332,7 +332,12 @@ let test_midsize_benchmark_soundness () =
   check Alcotest.bool "routed" true r.Pipeline.routing.Tqec_route.Pathfinder.success;
   check Alcotest.(list string) "pipeline checks" [] (Pipeline.check r);
   check Alcotest.int "emit geometry issues" 0 (List.length (Emit.check r));
-  check Alcotest.bool "emit volume consistent" true (Emit.volume_consistent r)
+  check Alcotest.bool "emit volume consistent" true (Emit.volume_consistent r);
+  (* strands are numbered 0..n-1 in list order *)
+  let defects = (Emit.geometry r).Tqec_geom.Geometry.defects in
+  check Alcotest.(list int) "defect ids in list order"
+    (List.init (List.length defects) Fun.id)
+    (List.map (fun (d : Tqec_geom.Defect.t) -> d.Tqec_geom.Defect.id) defects)
 
 let test_summary_mentions_paper () =
   let config =

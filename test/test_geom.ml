@@ -80,7 +80,7 @@ let two_structures_overlapping () =
   let b = Defect.straight ~id:1 ~structure:1 ~dtype:Defect.Primal
       (vec 4 0 0) (vec 8 0 0)
   in
-  Geometry.add_defect (Geometry.add_defect (Geometry.empty "o") a) b
+  Geometry.make ~name:"o" ~defects:[ a; b ] ~boxes:[]
 
 let test_geometry_overlap_detected () =
   let g = two_structures_overlapping () in
@@ -97,7 +97,7 @@ let test_geometry_same_structure_can_touch () =
   let b = Defect.straight ~id:1 ~structure:0 ~dtype:Defect.Primal
       (vec 4 0 0) (vec 4 4 0)
   in
-  let g = Geometry.add_defect (Geometry.add_defect (Geometry.empty "s") a) b in
+  let g = Geometry.make ~name:"s" ~defects:[ a; b ] ~boxes:[] in
   check Alcotest.bool "valid" true (Geometry.is_valid g)
 
 let test_geometry_primal_dual_independent () =
@@ -109,27 +109,28 @@ let test_geometry_primal_dual_independent () =
   let d = Defect.straight ~id:1 ~structure:1 ~dtype:Defect.Dual
       (vec 1 1 1) (vec 5 1 1)
   in
-  let g = Geometry.add_defect (Geometry.add_defect (Geometry.empty "pd") p) d in
+  let g = Geometry.make ~name:"pd" ~defects:[ p; d ] ~boxes:[] in
   check Alcotest.bool "valid" true (Geometry.is_valid g)
 
 let test_geometry_volume () =
   let p = Defect.straight ~id:0 ~structure:0 ~dtype:Defect.Primal
       (vec 0 0 0) (vec 6 0 0)
   in
-  let g = Geometry.add_defect (Geometry.empty "v") p in
+  let g = Geometry.make ~name:"v" ~defects:[ p ] ~boxes:[] in
   check Alcotest.int "volume 4x1x1" 4 (Geometry.volume g);
-  check Alcotest.int "empty volume" 0 (Geometry.volume (Geometry.empty "e"))
+  check Alcotest.int "empty volume" 0
+    (Geometry.volume (Geometry.make ~name:"e" ~defects:[] ~boxes:[]))
 
 let test_geometry_boxes () =
   check Alcotest.int "Y volume" 18 (Geometry.box_volume Geometry.Y_box);
   check Alcotest.int "A volume" 192 (Geometry.box_volume Geometry.A_box);
-  let g =
-    Geometry.add_box (Geometry.empty "b") (Geometry.box_at Geometry.Y_box (vec 0 0 0))
-  in
+  let y0 = Geometry.box_at Geometry.Y_box (vec 0 0 0) in
+  let g = Geometry.make ~name:"b" ~defects:[] ~boxes:[ y0 ] in
   check Alcotest.int "bbox = 18" 18 (Geometry.volume g);
   check Alcotest.int "total box volume" 18 (Geometry.total_box_volume g);
   let g2 =
-    Geometry.add_box g (Geometry.box_at Geometry.Y_box (vec 1 1 0))
+    Geometry.make ~name:"b" ~defects:[]
+      ~boxes:[ y0; Geometry.box_at Geometry.Y_box (vec 1 1 0) ]
   in
   check Alcotest.bool "box overlap detected" true
     (List.exists
@@ -306,7 +307,8 @@ let test_render_layers_nonempty () =
     (String.contains s 'D' || String.contains s '*')
 
 let test_render_empty () =
-  check Alcotest.string "empty" "" (Render.layers (Geometry.empty "e"))
+  check Alcotest.string "empty" ""
+    (Render.layers (Geometry.make ~name:"e" ~defects:[] ~boxes:[]))
 
 let suites =
   [

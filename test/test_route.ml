@@ -90,10 +90,14 @@ let prop_grid_overused_incremental =
       Grid.overused g = brute && Grid.overused_count g = List.length brute)
 
 (* The sparse chunked grid against a dense mirror of its semantics:
-   random usage/history/shared trajectories must agree cell-for-cell
-   on usage, history and enter_cost, and on the
-   [overused] list in value AND order.  The box spans several tiles per
-   axis with a non-zero, non-tile-aligned origin, so tile and offset
+   random usage/history/shared/obstacle trajectories must agree
+   cell-for-cell on usage, history, obstacles and enter_cost (own-route
+   [dusage] -1 and 0), and on the [overused] list in value AND order.
+   The flat A* kernel's integer-coordinate queries ([passable_at],
+   [enter_cost_at]) must agree with the [Vec3] ones on every cell, both
+   on the mutated grid and on a fresh one whose tiles are all untouched;
+   part of the box lies outside the die.  The box spans several tiles
+   per axis with a non-zero, non-tile-aligned origin, so tile and offset
    arithmetic is exercised on both sides of every boundary. *)
 let prop_grid_sparse_vs_dense_oracle =
   QCheck.Test.make ~name:"sparse grid matches dense oracle"
@@ -112,6 +116,7 @@ let prop_grid_sparse_vs_dense_oracle =
       let o_usage = Array.make cells 0 in
       let o_hist = Array.make cells 0 in
       let o_shared = Array.make cells false in
+      let o_obst = Array.make cells false in
       let idx (c : Vec3.t) =
         (((c.Vec3.x - 3) * ny) + (c.Vec3.y + 5)) * nz + (c.Vec3.z - 2)
       in
@@ -139,26 +144,53 @@ let prop_grid_sparse_vs_dense_oracle =
             Grid.add_usage g c d;
             o_usage.(i) <- o_usage.(i) + d)
       done;
+      for _ = 1 to 40 do
+        let c = rand_cell () in
+        Grid.set_obstacle g c;
+        o_obst.(idx c) <- true
+      done;
+      (* the integer-coordinate queries against the Vec3 ones *)
+      let int_queries_agree g (c : Vec3.t) =
+        List.for_all
+          (fun avoid_used ->
+            Grid.passable_at g ~avoid_used c.x c.y c.z
+            = ((not (Grid.is_obstacle g c))
+              && ((not avoid_used)
+                 || Grid.is_shared g c
+                 || Grid.usage g c < Grid.capacity)))
+          [ false; true ]
+        && List.for_all
+             (fun dusage ->
+               Grid.enter_cost_at g ~penalty:3 ~dusage c.x c.y c.z
+               = Grid.enter_cost_d g ~penalty:3 ~dusage c)
+             [ -1; 0 ]
+      in
       let agree c =
         let i = idx c in
-        let expected_cost penalty =
+        let expected_cost ~dusage penalty =
           let base = if Box3.contains die c then 1 else 7 in
           if o_shared.(i) then base + o_hist.(i)
           else
-            let over = o_usage.(i) + 1 - Grid.capacity in
+            let over = o_usage.(i) + dusage + 1 - Grid.capacity in
             base + o_hist.(i) + (if over > 0 then penalty * over else 0)
         in
         Grid.usage g c = o_usage.(i)
         && Grid.history g c = o_hist.(i)
         && Grid.is_shared g c = o_shared.(i)
-        && Grid.enter_cost g ~penalty:3 c = expected_cost 3
+        && Grid.is_obstacle g c = o_obst.(i)
+        && Grid.enter_cost g ~penalty:3 c = expected_cost ~dusage:0 3
+        && Grid.enter_cost_d g ~penalty:3 ~dusage:(-1) c
+           = expected_cost ~dusage:(-1) 3
+        && int_queries_agree g c
       in
+      let fresh = Grid.create ~die box in
       let brute =
         List.filter
           (fun c -> o_usage.(idx c) > Grid.capacity && not o_shared.(idx c))
           (Box3.cells box)
       in
       List.for_all agree (Box3.cells box)
+      && List.for_all (int_queries_agree fresh) (Box3.cells box)
       && Grid.overused g = brute
       && Grid.overused_count g = List.length brute)
 
@@ -273,7 +305,25 @@ let test_astar_straight_line () =
       check Alcotest.bool "starts at source" true
         (Vec3.equal (List.hd path) (vec 0 0 0));
       check Alcotest.bool "ends at target" true
-        (Vec3.equal (List.nth path 5) (vec 5 0 0))
+        (Vec3.equal (List.nth path 5) (vec 5 0 0));
+  (* Equal-cost ties: the kernel relaxes +x, -x, +y, -y, +z, -z in that
+     order and pops equal keys first-in first-out, so of the many
+     shortest diagonal paths it returns the x-then-y-then-z staircase,
+     in either direction.  Routes stay bit-identical only while both
+     rules hold. *)
+  let staircase s t =
+    Option.map
+      (List.map Vec3.to_string)
+      (Astar.search g ~region:full_region ~penalty:1 ~sources:[ s ] ~target:t)
+  in
+  check Alcotest.(option (list string)) "ascending tie-break"
+    (Some [ "(1,1,1)"; "(2,1,1)"; "(3,1,1)"; "(3,2,1)"; "(3,3,1)"; "(3,3,2)";
+            "(3,3,3)" ])
+    (staircase (vec 1 1 1) (vec 3 3 3));
+  check Alcotest.(option (list string)) "descending tie-break"
+    (Some [ "(3,3,3)"; "(2,3,3)"; "(1,3,3)"; "(1,2,3)"; "(1,1,3)"; "(1,1,2)";
+            "(1,1,1)" ])
+    (staircase (vec 3 3 3) (vec 1 1 1))
 
 let test_astar_detours_around_wall () =
   let g = grid10 () in
@@ -318,6 +368,26 @@ let test_astar_respects_region () =
     (Astar.search g ~region ~penalty:1 ~sources:[ vec 0 0 0 ]
        ~target:(vec 5 0 0)
     = None)
+
+(* A region disjoint from the grid reaches nothing: no kernel may fall
+   back to searching the whole grid (the target lies in the grid, so
+   such a fallback finds a path). *)
+let test_astar_region_disjoint_from_grid () =
+  let g = Grid.create (Box3.make (vec 0 0 0) (vec 9 9 0)) in
+  let region = Box3.make (vec 20 20 0) (vec 30 30 0) in
+  let sources = [ vec 0 0 0 ] and target = vec 9 9 0 in
+  let scr = Astar.create_scratch () in
+  let all_tiles = List.init (Grid.n_tiles g) Fun.id in
+  check Alcotest.bool "flat search" true
+    (Astar.search g ~region ~penalty:1 ~sources ~target = None);
+  check Alcotest.bool "coarse corridor" true
+    (Astar.coarse_corridor scr g ~region ~sources ~target = None);
+  check Alcotest.bool "fine pass over every tile" true
+    (Astar.fine_in_corridor scr g ~corridor:all_tiles ~region ~penalty:1
+       ~sources ~target
+    = None);
+  check Alcotest.bool "hierarchical search" true
+    (Astar.search_corridor g ~region ~penalty:1 ~sources ~target = None)
 
 let test_astar_source_target_exempt () =
   let g = grid10 () in
@@ -825,6 +895,8 @@ let suites =
         Alcotest.test_case "detours" `Quick test_astar_detours_around_wall;
         Alcotest.test_case "unreachable" `Quick test_astar_unreachable;
         Alcotest.test_case "respects region" `Quick test_astar_respects_region;
+        Alcotest.test_case "region disjoint from grid" `Quick
+          test_astar_region_disjoint_from_grid;
         Alcotest.test_case "pins exempt" `Quick test_astar_source_target_exempt;
         Alcotest.test_case "multi-source" `Quick test_astar_multi_source;
         qtest prop_astar_optimal_vs_dijkstra;

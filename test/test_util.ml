@@ -242,19 +242,73 @@ let test_pqueue_peek_clear () =
   check Alcotest.bool "cleared" true (Pqueue.is_empty q);
   Alcotest.check_raises "pop empty" Not_found (fun () -> ignore (Pqueue.pop q))
 
+(* Model-based: random interleavings of push, both pop forms and clear
+   against a reference list kept in insertion order, whose next pop is
+   its first entry of least key — a stable sort by key, i.e. the (key,
+   insertion sequence) order the router's bit-identical routes rest on.
+   Keys are drawn from a small range so ties are frequent, and every
+   value is unique, so a pop that breaks a tie out of FIFO order fails. *)
+type pq_op = Push of int | Pop | Pop_value | Clear
+
 let prop_pqueue_sorts =
-  QCheck.Test.make ~name:"pqueue pops in nondecreasing key order" ~count:200
-    QCheck.(list small_int)
-    (fun keys ->
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun k -> Push k) (int_range 0 7));
+          (2, return Pop);
+          (2, return Pop_value);
+          (1, return Clear);
+        ])
+  in
+  let print = function
+    | Push k -> Printf.sprintf "push %d" k
+    | Pop -> "pop"
+    | Pop_value -> "pop_value"
+    | Clear -> "clear"
+  in
+  QCheck.Test.make
+    ~name:"pqueue pops in nondecreasing (key, seq) order, as a stable model"
+    ~count:300
+    QCheck.(make ~print:(Print.list print) Gen.(list_size (int_range 0 200) op))
+    (fun ops ->
       let q = Pqueue.create () in
-      List.iter (fun k -> Pqueue.push q k ()) keys;
-      let rec drain last =
-        if Pqueue.is_empty q then true
-        else
-          let k, () = Pqueue.pop q in
-          k >= last && drain k
+      (* model: (key, value) in insertion order *)
+      let model = ref [] in
+      let next = ref 0 in
+      let model_min () =
+        List.fold_left
+          (fun best (k, v) ->
+            match best with Some (bk, _) when bk <= k -> best | _ -> Some (k, v))
+          None !model
       in
-      drain min_int)
+      let model_remove v = model := List.filter (fun (_, v') -> v' <> v) !model in
+      List.for_all
+        (fun op ->
+          let ok =
+            match (op, model_min ()) with
+            | Push k, _ ->
+                Pqueue.push q k !next;
+                model := !model @ [ (k, !next) ];
+                incr next;
+                true
+            | (Pop | Pop_value), None -> (
+                match Pqueue.pop q with
+                | exception Not_found -> true
+                | _ -> false)
+            | Pop, Some (k, v) ->
+                model_remove v;
+                Pqueue.peek q = (k, v) && Pqueue.pop q = (k, v)
+            | Pop_value, Some (k, v) ->
+                model_remove v;
+                Pqueue.top_key q = k && Pqueue.pop_value q = v
+            | Clear, _ ->
+                Pqueue.clear q;
+                model := [];
+                Pqueue.is_empty q
+          in
+          ok && Pqueue.length q = List.length !model)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Bitgrid                                                             *)
