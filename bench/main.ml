@@ -18,18 +18,16 @@
                    (unset keeps single-die annealing)
      TQEC_SCALE_TIER = 1 to run the scale-tier sweep instead of the
                    paper tables: tier-x<f> instances through the full
-                   pipeline, each once with the corridor cache off and
-                   once on, one row per (factor, cache) with sparse-grid
+                   pipeline, one row per factor with sparse-grid
                    occupancy, router counters, peak RSS and wall time;
                    also writes the machine-readable BENCH_scale.json
      TQEC_TIER_FACTORS = comma-separated tier factors (default 1,2,4)
      TQEC_TIER_CORRIDOR = corridor threshold (cells) for the sweep
                    (default 64: low enough that the hierarchical
                    corridor router carries tier-x1 already)
-     TQEC_TIER_REPS = wall-time repetitions per (factor, cache) pair;
-                   the sweep reports the minimum (default 1; use 3+
-                   when recording curves, host jitter swamps the
-                   cache delta on single runs)
+     TQEC_TIER_REPS = wall-time repetitions per factor; the sweep
+                   reports the minimum (default 1; use 3+ when
+                   recording curves, host jitter is several percent)
      TQEC_SCALE_JSON = output path for the sweep's JSON report
                    (default BENCH_scale.json)
      TQEC_BENCH_STAGES = 0 to skip the Bechamel stage timings
@@ -76,20 +74,17 @@ let rss_cell () =
 
 (* TQEC_SCALE_TIER=1 switches the harness to the scaling sweep: the
    synthetic tier-x<f> family (Generator.scale_tier) through the full
-   pipeline, each factor once with the corridor cache disabled and once
-   enabled, one row per (factor, cache) with the sparse routing grid's
-   occupancy, the router's cache/search counters, peak RSS and wall
-   time.  The touched-cell column against the bounding-box column is
-   the sparse-grid memory claim (grid memory scales with routed volume,
-   not substrate volume); the cache-off/cache-on wall pair with the hit
-   counter is the corridor-reuse claim.  The corridor threshold is
-   forced low (TQEC_TIER_CORRIDOR, default 64 cells) so the
-   hierarchical router — and with it the cache — carries the routing
-   traffic from tier-x1 up.  Both runs of a factor must produce the
-   same pipeline fingerprint (the cache is pure memoization); a
-   mismatch fails the sweep.  TQEC_TIER_FACTORS picks the factors
-   (default "1,2,4").  The sweep also writes BENCH_scale.json
-   (TQEC_SCALE_JSON) for build rules and plotting. *)
+   pipeline, one row per factor with the sparse routing grid's
+   occupancy, the router's search counters, peak RSS and wall time.
+   The touched-cell column against the bounding-box column is the
+   sparse-grid memory claim (grid memory scales with routed volume, not
+   substrate volume).  The corridor threshold is forced low
+   (TQEC_TIER_CORRIDOR, default 64 cells) so the hierarchical router
+   carries the routing traffic from tier-x1 up.  Every repetition of a
+   factor must produce the same pipeline fingerprint; a mismatch fails
+   the sweep.  TQEC_TIER_FACTORS picks the factors (default "1,2,4").
+   The sweep also writes BENCH_scale.json (TQEC_SCALE_JSON) for build
+   rules and plotting. *)
 let run_scale_tiers (config : Experiments.config) =
   let module Counters = Tqec_route.Counters in
   let module Json = Tqec_serve.Json in
@@ -107,19 +102,18 @@ let run_scale_tiers (config : Experiments.config) =
     | Some s -> ( match int_of_string_opt s with Some v when v >= 0 -> v | _ -> 64)
     | None -> 64
   in
-  (* Wall-time repetitions per (factor, cache) pair.  A single pipeline
-     run's wall time carries the host's scheduling jitter — several
-     percent on a busy box, easily swamping the cache's effect — so the
-     recorded curves take the minimum over [reps] runs (the standard
-     low-noise estimator for a deterministic workload).  Counters and
-     fingerprints are deterministic across reps and are taken from the
-     last run; CI keeps reps = 1 for speed. *)
+  (* Wall-time repetitions per factor.  A single pipeline run's wall
+     time carries the host's scheduling jitter (several percent on a
+     busy box), so the recorded curves take the minimum over [reps]
+     runs, the standard low-noise estimator for a deterministic
+     workload.  Counters are deterministic across reps and are taken
+     from the last run; CI keeps reps = 1 for speed. *)
   let reps =
     match Sys.getenv_opt "TQEC_TIER_REPS" with
     | Some s -> ( match int_of_string_opt s with Some v when v >= 1 -> v | _ -> 1)
     | None -> 1
   in
-  let pipeline_config corridor_cache =
+  let pipeline_config =
     {
       Pipeline.default_config with
       effort = config.Experiments.effort;
@@ -129,22 +123,17 @@ let run_scale_tiers (config : Experiments.config) =
       early_stop_margin = config.Experiments.early_stop_margin;
       partition = config.Experiments.partition;
       corridor_cells = Some corridor;
-      corridor_cache;
     }
   in
   let t =
     Tqec_util.Pretty.create
-      [ "tier"; "cache"; "modules"; "nodes"; "volume"; "grid cells"; "touched";
-        "touched%"; "hits"; "misses"; "stale"; "coarse"; "fine"; "flat";
-        "peak RSS"; "wall" ]
+      [ "tier"; "modules"; "nodes"; "volume"; "grid cells"; "touched";
+        "touched%"; "coarse"; "fine"; "flat"; "fallbacks"; "peak RSS"; "wall" ]
   in
   let counters_json (s : Counters.stats) wall =
     Json.Obj
       [
         ("wall_s", Json.Float wall);
-        ("cache_hits", Json.Int s.Counters.cache_hits);
-        ("cache_misses", Json.Int s.Counters.cache_misses);
-        ("cache_stale", Json.Int s.Counters.cache_stale);
         ("coarse_searches", Json.Int s.Counters.coarse_searches);
         ("fine_searches", Json.Int s.Counters.fine_searches);
         ("flat_searches", Json.Int s.Counters.flat_searches);
@@ -158,41 +147,28 @@ let run_scale_tiers (config : Experiments.config) =
         let c = Tqec_circuit.Generator.scale_tier ~factor:f () in
         Printf.eprintf "[bench] running tier-x%d (%d gates, %d wires)...\n%!" f
           (Tqec_circuit.Circuit.n_gates c) c.Tqec_circuit.Circuit.n_qubits;
-        let run_once corridor_cache =
+        let run_once () =
           Counters.reset ();
-          let r = Pipeline.run ~config:(pipeline_config corridor_cache) c in
+          let r = Pipeline.run ~config:pipeline_config c in
           (r, Counters.stats ())
         in
-        (* Interleave the off/on repetitions (off, on, off, on, ...)
-           instead of running each block back to back: host throughput
-           drifts over the minutes a large tier takes, and pairing the
-           runs keeps the drift out of the off-vs-on comparison. *)
-        let best_off = ref infinity and best_on = ref infinity in
-        let last_off = ref None and last_on = ref None in
-        for _ = 1 to reps do
-          let ((r, _) as m) = run_once false in
-          if r.Pipeline.elapsed < !best_off then best_off := r.Pipeline.elapsed;
-          last_off := Some m;
-          let ((r, _) as m) = run_once true in
-          if r.Pipeline.elapsed < !best_on then best_on := r.Pipeline.elapsed;
-          last_on := Some m
+        let r, s = run_once () in
+        let best = ref r.Pipeline.elapsed and last = ref (r, s) in
+        for _ = 2 to reps do
+          let ((r', _) as m) = run_once () in
+          if Pipeline.fingerprint r' <> Pipeline.fingerprint r then begin
+            Printf.eprintf
+              "[bench] FAIL: tier-x%d fingerprint differs between repetitions\n%!"
+              f;
+            exit 1
+          end;
+          best := Float.min !best r'.Pipeline.elapsed;
+          last := m
         done;
-        let finish last best =
-          match !last with
-          | Some (r, s) -> ({ r with Pipeline.elapsed = !best }, s)
-          | None -> assert false
-        in
-        let r_off, s_off = finish last_off best_off in
-        let r_on, s_on = finish last_on best_on in
-        if Pipeline.fingerprint r_on <> Pipeline.fingerprint r_off then begin
-          Printf.eprintf
-            "[bench] FAIL: tier-x%d fingerprint differs between corridor \
-             cache off and on\n%!"
-            f;
-          exit 1
-        end;
+        let r, s = !last in
+        let wall = !best in
         let module Grid = Tqec_route.Grid in
-        let m = r_on.Pipeline.grid_mem in
+        let m = r.Pipeline.grid_mem in
         let touched_pct =
           100.
           *. float_of_int m.Grid.mem_touched_cells
@@ -200,55 +176,46 @@ let run_scale_tiers (config : Experiments.config) =
         in
         Printf.eprintf
           "[bench]   tier-x%d: volume=%d grid=%d cells touched=%d (%.1f%%) \
-           rss=%s wall=%.1fs/%.1fs (cache off/on) hits=%d\n%!"
-          f r_on.Pipeline.volume m.Grid.mem_cells m.Grid.mem_touched_cells
-          touched_pct (rss_cell ()) r_off.Pipeline.elapsed
-          r_on.Pipeline.elapsed s_on.Counters.cache_hits;
-        let add_row label (r : Pipeline.t) (s : Counters.stats) =
-          Tqec_util.Pretty.add_row t
-            [
-              Printf.sprintf "tier-x%d" f;
-              label;
-              string_of_int r.Pipeline.stages.Pipeline.st_modules;
-              string_of_int r.Pipeline.stages.Pipeline.st_nodes;
-              Tqec_util.Pretty.int_with_commas r.Pipeline.volume;
-              Tqec_util.Pretty.int_with_commas m.Grid.mem_cells;
-              Tqec_util.Pretty.int_with_commas m.Grid.mem_touched_cells;
-              Printf.sprintf "%.1f%%" touched_pct;
-              string_of_int s.Counters.cache_hits;
-              string_of_int s.Counters.cache_misses;
-              string_of_int s.Counters.cache_stale;
-              string_of_int s.Counters.coarse_searches;
-              string_of_int s.Counters.fine_searches;
-              string_of_int s.Counters.flat_searches;
-              rss_cell ();
-              Printf.sprintf "%.1fs" r.Pipeline.elapsed;
-            ]
-        in
-        add_row "off" r_off s_off;
-        add_row "on" r_on s_on;
+           rss=%s wall=%.1fs coarse=%d\n%!"
+          f r.Pipeline.volume m.Grid.mem_cells m.Grid.mem_touched_cells
+          touched_pct (rss_cell ()) wall s.Counters.coarse_searches;
+        Tqec_util.Pretty.add_row t
+          [
+            Printf.sprintf "tier-x%d" f;
+            string_of_int r.Pipeline.stages.Pipeline.st_modules;
+            string_of_int r.Pipeline.stages.Pipeline.st_nodes;
+            Tqec_util.Pretty.int_with_commas r.Pipeline.volume;
+            Tqec_util.Pretty.int_with_commas m.Grid.mem_cells;
+            Tqec_util.Pretty.int_with_commas m.Grid.mem_touched_cells;
+            Printf.sprintf "%.1f%%" touched_pct;
+            string_of_int s.Counters.coarse_searches;
+            string_of_int s.Counters.fine_searches;
+            string_of_int s.Counters.flat_searches;
+            string_of_int s.Counters.flat_fallbacks;
+            rss_cell ();
+            Printf.sprintf "%.1fs" wall;
+          ];
         Json.Obj
           [
             ("tier", Json.Int f);
-            ("modules", Json.Int r_on.Pipeline.stages.Pipeline.st_modules);
-            ("nodes", Json.Int r_on.Pipeline.stages.Pipeline.st_nodes);
-            ("volume", Json.Int r_on.Pipeline.volume);
+            ("modules", Json.Int r.Pipeline.stages.Pipeline.st_modules);
+            ("nodes", Json.Int r.Pipeline.stages.Pipeline.st_nodes);
+            ("volume", Json.Int r.Pipeline.volume);
             ("grid_cells", Json.Int m.Grid.mem_cells);
             ("touched_cells", Json.Int m.Grid.mem_touched_cells);
-            ("fingerprint", Json.String (Pipeline.fingerprint r_on));
-            ("cache_off", counters_json s_off r_off.Pipeline.elapsed);
-            ("cache_on", counters_json s_on r_on.Pipeline.elapsed);
+            ("fingerprint", Json.String (Pipeline.fingerprint r));
+            ("router", counters_json s wall);
           ])
       factors
   in
   print_string
     "Scale tiers (sparse-grid occupancy, router counters, peak RSS, wall \
-     time; corridor cache off vs on):\n";
+     time):\n";
   Tqec_util.Pretty.print t;
   let report =
     Json.Obj
       [
-        ("schema", Json.String "tqec-bench-scale/1");
+        ("schema", Json.String "tqec-bench-scale/2");
         ( "effort",
           Json.String
             (match config.Experiments.effort with

@@ -4,13 +4,12 @@
    refactor that silently changes the report shape fails `dune runtest`
    instead of downstream tooling.
 
-   Beyond shape, it pins the sweep's substance: at least one tier must
-   record corridor-cache hits in its cache-on run (the sweep forces the
-   hierarchical router with a low corridor threshold and runs at
-   TQEC_JOBS=1, where cross-iteration certification is live), and a
-   cache-off run must record no hits at all.  Fingerprint equality
-   between the two runs is enforced by the sweep itself before the
-   report is written.
+   Beyond shape, it pins the sweep's substance: every tier must record
+   coarse searches (the sweep's low corridor threshold really engaged
+   the hierarchical router), and no tier may record more flat
+   fallbacks than coarse searches.  Fingerprint equality across
+   repetitions is enforced by the sweep itself before the report is
+   written.
 
    Usage: scale_schema.exe BENCH_scale.json *)
 
@@ -42,8 +41,8 @@ let need_counters ~ctx name obj =
       List.iter
         (fun f -> ignore (need_int ~ctx:(ctx ^ "." ^ name) f c))
         [
-          "cache_hits"; "cache_misses"; "cache_stale"; "coarse_searches";
-          "fine_searches"; "flat_searches"; "flat_fallbacks"; "scratch_grows";
+          "coarse_searches"; "fine_searches"; "flat_searches";
+          "flat_fallbacks"; "scratch_grows";
         ];
       c
   | _ -> fail "%s: missing counters object %S" ctx name
@@ -63,8 +62,8 @@ let () =
     | exception Json.Parse_error m -> fail "%s does not parse: %s" path m
   in
   let schema = need_str ~ctx:"root" "schema" root in
-  if schema <> "tqec-bench-scale/1" then
-    fail "unknown schema %S (want tqec-bench-scale/1)" schema;
+  if schema <> "tqec-bench-scale/2" then
+    fail "unknown schema %S (want tqec-bench-scale/2)" schema;
   let effort = need_str ~ctx:"root" "effort" root in
   if not (List.mem effort [ "quick"; "normal"; "full" ]) then
     fail "bad effort %S" effort;
@@ -78,7 +77,7 @@ let () =
     | Some [] -> fail "empty tiers list"
     | None -> fail "missing tiers list"
   in
-  let total_hits = ref 0 in
+  let total_coarse = ref 0 in
   List.iteri
     (fun i tier ->
       let ctx = Printf.sprintf "tiers[%d]" i in
@@ -87,13 +86,16 @@ let () =
         [ "tier"; "modules"; "nodes"; "volume"; "grid_cells"; "touched_cells" ];
       if need_str ~ctx "fingerprint" tier = "" then
         fail "%s: empty fingerprint" ctx;
-      let off = need_counters ~ctx "cache_off" tier in
-      let on = need_counters ~ctx "cache_on" tier in
-      if need_int ~ctx:(ctx ^ ".cache_off") "cache_hits" off <> 0 then
-        fail "%s: cache-off run recorded cache hits" ctx;
-      total_hits := !total_hits + need_int ~ctx:(ctx ^ ".cache_on") "cache_hits" on)
+      let router = need_counters ~ctx "router" tier in
+      let rctx = ctx ^ ".router" in
+      let coarse = need_int ~ctx:rctx "coarse_searches" router in
+      let fallbacks = need_int ~ctx:rctx "flat_fallbacks" router in
+      if coarse <= 0 then
+        fail "%s: no coarse searches (hierarchical router not engaged)" ctx;
+      if fallbacks > coarse then
+        fail "%s: %d flat fallbacks exceed %d coarse searches" ctx fallbacks
+          coarse;
+      total_coarse := !total_coarse + coarse)
     tiers;
-  if !total_hits = 0 then
-    fail "no corridor-cache hits recorded across %d tiers" (List.length tiers);
-  Printf.printf "[scale-schema] %s ok: %d tiers, %d cache hits\n%!" path
-    (List.length tiers) !total_hits
+  Printf.printf "[scale-schema] %s ok: %d tiers, %d coarse searches\n%!" path
+    (List.length tiers) !total_coarse

@@ -184,26 +184,6 @@ let corridor_arg =
     & opt (conv (parse, print)) None
     & info [ "corridor" ] ~docv:"CELLS" ~doc)
 
-let corridor_cache_arg =
-  let doc =
-    "Corridor reuse across routing negotiation iterations: $(b,on) \
-     (default) replays a net's coarse corridor when the grid's tile \
-     summary generations prove it unchanged, $(b,off) recomputes every \
-     coarse search.  Routes are bit-identical either way — off exists \
-     for cross-checks and benchmark baselines."
-  in
-  let parse s =
-    match String.lowercase_ascii s with
-    | "on" -> Ok true
-    | "off" -> Ok false
-    | _ -> Error (`Msg "expected on|off")
-  in
-  let print ppf v = Format.pp_print_string ppf (if v then "on" else "off") in
-  Arg.(
-    value
-    & opt (conv (parse, print)) true
-    & info [ "corridor-cache" ] ~docv:"on|off" ~doc)
-
 let scale_arg =
   let doc = "Scale instances down by this divisor (benchmarks only)." in
   Arg.(value & opt int 1 & info [ "scale" ] ~docv:"K" ~doc)
@@ -271,10 +251,9 @@ let print_timings (r : Pipeline.t) =
   | Some msg -> Format.printf "scheduler: degraded (spawn failed: %s)@." msg);
   let rc = Tqec_route.Counters.stats () in
   Format.printf
-    "router: corridor-cache hits=%d misses=%d stale=%d searches \
-     coarse=%d fine=%d flat=%d fallbacks=%d scratch-grows=%d@."
-    rc.Tqec_route.Counters.cache_hits rc.Tqec_route.Counters.cache_misses
-    rc.Tqec_route.Counters.cache_stale rc.Tqec_route.Counters.coarse_searches
+    "router: searches coarse=%d fine=%d flat=%d fallbacks=%d \
+     scratch-grows=%d@."
+    rc.Tqec_route.Counters.coarse_searches
     rc.Tqec_route.Counters.fine_searches rc.Tqec_route.Counters.flat_searches
     rc.Tqec_route.Counters.flat_fallbacks
     rc.Tqec_route.Counters.scratch_grows
@@ -289,7 +268,7 @@ let porcelain_arg =
 
 let compress_cmd =
   let run input variant effort seed scale restarts jobs early_stop partition
-      corridor corridor_cache optimize timings porcelain debug =
+      corridor optimize timings porcelain debug =
     let c =
       match Suite.find input with
       | Some entry -> Suite.scaled ~factor:(max 1 scale) entry
@@ -307,7 +286,7 @@ let compress_cmd =
     let config =
       { Pipeline.default_config with variant; effort; seed;
         restarts = max 1 restarts; jobs; early_stop_margin = early_stop;
-        partition; corridor_cells = corridor; corridor_cache;
+        partition; corridor_cells = corridor;
         debug = debug || debug_from_env () }
     in
     let r =
@@ -341,7 +320,7 @@ let compress_cmd =
     (Cmd.info "compress" ~doc:"Run the bridge-compression flow.")
     Term.(const run $ input_arg $ variant_arg $ effort_arg $ seed_arg
           $ scale_arg $ restarts_arg $ jobs_arg $ early_stop_arg
-          $ partition_arg $ corridor_arg $ corridor_cache_arg $ optimize_arg
+          $ partition_arg $ corridor_arg $ optimize_arg
           $ timings_arg $ porcelain_arg $ debug_arg)
 
 let experiment_config effort scale seed restarts jobs early_stop benchmarks =
@@ -497,13 +476,12 @@ let check_cmd =
       "Also print the determinism fingerprint: a digest of the reported \
        volume, every node position/rotation and every routed cell.  Two \
        runs print the same line iff they agree on the full geometric \
-       result, so build rules diff it across worker counts and \
-       corridor-cache settings."
+       result, so build rules diff it across worker counts."
     in
     Arg.(value & flag & info [ "fingerprint" ] ~doc)
   in
   let run input variant effort seed scale restarts jobs early_stop partition
-      corridor corridor_cache fingerprint stages debug =
+      corridor fingerprint stages debug =
     let c =
       match Suite.find input with
       | Some entry -> Suite.scaled ~factor:(max 1 scale) entry
@@ -512,7 +490,7 @@ let check_cmd =
     let config =
       { Pipeline.default_config with variant; effort; seed;
         restarts = max 1 restarts; jobs; early_stop_margin = early_stop;
-        partition; corridor_cells = corridor; corridor_cache;
+        partition; corridor_cells = corridor;
         debug = debug || debug_from_env () }
     in
     let r = Pipeline.run ~config c in
@@ -533,8 +511,8 @@ let check_cmd =
           and cross-checked.  Non-zero exit on any violation.")
     Term.(const run $ input_arg $ variant_arg $ effort_arg $ seed_arg
           $ scale_arg $ restarts_arg $ jobs_arg $ early_stop_arg
-          $ partition_arg $ corridor_arg $ corridor_cache_arg
-          $ fingerprint_arg $ stage_arg $ debug_arg)
+          $ partition_arg $ corridor_arg $ fingerprint_arg $ stage_arg
+          $ debug_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve / request                                                    *)

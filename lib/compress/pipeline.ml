@@ -27,7 +27,7 @@ type config = {
   partition : int option;
   auto_partition : int option;
   corridor_cells : int option;
-  corridor_cache : bool;
+  corridor_cache : unit;
   sa_moves_cap : int option;
   debug : bool;
   verify : bool option;
@@ -38,8 +38,7 @@ let default_config =
     z_cap = None; strategy = Placer.Annealing; restarts = 1; jobs = None;
     early_stop_margin = Placer.default_config.Placer.early_stop_margin;
     partition = None; auto_partition = None; corridor_cells = None;
-    corridor_cache = Pathfinder.default_config.Pathfinder.corridor_cache;
-    sa_moves_cap = None; debug = false; verify = None }
+    corridor_cache = (); sa_moves_cap = None; debug = false; verify = None }
 
 exception
   Stage_failure of {
@@ -330,13 +329,10 @@ let rec run_icm ?(config = default_config) ?on_stage icm =
   let routing =
     let route_config =
       match config.corridor_cells with
-      | None ->
-          { Pathfinder.default_config with
-            corridor_cache = config.corridor_cache; debug = config.debug }
+      | None -> { Pathfinder.default_config with debug = config.debug }
       | Some cells ->
           { Pathfinder.default_config with
-            corridor_cells = cells; corridor_cache = config.corridor_cache;
-            debug = config.debug }
+            corridor_cells = cells; debug = config.debug }
     in
     Pathfinder.route_all grid route_config nets
   in
@@ -472,9 +468,8 @@ let summary (r : t) =
    volume, die dimensions, every node position and rotation, and every
    routed cell of every net in order.  Two runs agree on this hex
    string iff they agree on the full geometric result — the equality
-   the jobs-invariance and corridor-cache cross-checks pin.  Lives here
-   (not in the fuzz harness) so the CLI can print it and build rules
-   can diff it. *)
+   the jobs-invariance cross-checks pin.  Lives here (not in the fuzz
+   harness) so the CLI can print it and build rules can diff it. *)
 let fingerprint (r : t) =
   let b = Buffer.create 1024 in
   let p = r.placement in

@@ -143,10 +143,10 @@ let check_case ?fault (case : Case.t) =
       end;
       (* family 5: corridor equivalence.  A case fuzzed with a small
          corridor threshold routed hierarchically (coarse tile-graph
-         corridor + fine in-corridor search, corridor cache on); re-run
-         flat, the exhaustive router must also verify clean, the
-         placement — computed before routing and blind to the corridor
-         knob — must be bit-identical, and the routed bounding volume
+         corridor + fine in-corridor search); re-run flat, the
+         exhaustive router must also verify clean, the placement —
+         computed before routing and blind to the corridor knob — must
+         be bit-identical, and the routed bounding volume
          may differ only by detour slack (corridor tie-breaks pick
          different equal-cost shapes, but a corridor route that blows
          the volume past the calibrated band means the coarse pass

@@ -236,11 +236,7 @@ let search ?scratch ?(max_expansions = 400_000) ?(avoid_used = false)
 (* The coarse pass prices tile congestion with a FIXED penalty instead
    of the caller's negotiation penalty.  The corridor choice is a guide
    (feasibility and exact costs are re-established by the fine pass), so
-   the iteration-dependent penalty bought nothing — and removing it
-   makes the coarse search a function of (sources' tiles, target tile,
-   region, tile summaries) alone, which is what lets the corridor cache
-   reuse one corridor across negotiation iterations and between the
-   negotiation and cleanup phases. *)
+   the iteration-dependent penalty buys nothing there. *)
 let coarse_penalty = 6
 
 (* Coarse pass: A* over the tile graph restricted to tiles meeting
@@ -251,19 +247,8 @@ let coarse_penalty = 6
    [exclude] prices the net's own current route out of the tile
    congestion (each excluded cell carries exactly the +1 usage the net
    itself claimed, so a per-tile count subtraction is exact) — the
-   coarse-level analogue of the fine pass's own-route bias.  Beyond
-   route quality, this makes the coarse effective input invariant under
-   the net's own rip-up/re-claim, which is what lets the corridor cache
-   survive the batch-phase route/commit cycle (see the cache contract
-   in pathfinder.ml).
-
-   [source_tiles], when given, must be the deduplicated in-region
-   source tiles in first-occurrence order — exactly the list the
-   corridor cache computes for its key.  The coarse pass then seeds
-   from it directly instead of re-walking the (much longer) source cell
-   list; both derivations visit tiles in the same order, so the search
-   is bit-identical either way. *)
-let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
+   coarse-level analogue of the fine pass's own-route bias. *)
+let coarse_corridor ?(exclude = []) scr grid ~region ~sources
     ~(target : Vec3.t) =
   match clip grid region target with
   | None -> None
@@ -301,14 +286,11 @@ let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
   let exempt = scr.exempt in
   Hashtbl.clear exempt;
   Hashtbl.replace exempt target_code ();
-  (match source_tiles with
-  | Some tiles -> List.iter (fun ti -> Hashtbl.replace exempt ti ()) tiles
-  | None ->
-      List.iter
-        (fun s ->
-          if Box3.contains region s then
-            Hashtbl.replace exempt (Grid.tile_index grid s) ())
-        sources);
+  List.iter
+    (fun s ->
+      if Box3.contains region s then
+        Hashtbl.replace exempt (Grid.tile_index grid s) ())
+    sources;
   let excl = scr.excl_tiles in
   Hashtbl.clear excl;
   List.iter
@@ -363,13 +345,10 @@ let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
       Pqueue.push open_q h_cache.(code) code
     end
   in
-  (match source_tiles with
-  | Some tiles -> List.iter seed tiles
-  | None ->
-      List.iter
-        (fun (s : Vec3.t) ->
-          if Box3.contains region s then seed (Grid.tile_index grid s))
-        sources);
+  List.iter
+    (fun (s : Vec3.t) ->
+      if Box3.contains region s then seed (Grid.tile_index grid s))
+    sources;
   let found = ref false in
   let expansions = ref 0 in
   while (not !found) && (not (Pqueue.is_empty open_q)) && !expansions < n_tiles * 8
@@ -449,9 +428,7 @@ let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
   end
 
 (* Fine pass: cell-level A* restricted to [corridor], a tile-index list
-   from [coarse_corridor] — freshly computed or replayed from the
-   corridor cache; the result depends only on the corridor's content,
-   never on where it came from.  Cells are encoded as slot * tile_cells
+   from [coarse_corridor].  Cells are encoded as slot * tile_cells
    + in-tile offset, so scratch scales with the corridor, never with
    the region's bounding volume. *)
 let fine_in_corridor ?(max_expansions = 400_000) ?(avoid_used = false)

@@ -56,8 +56,7 @@ val search :
     feasibility and exact costs), so it deliberately does NOT track the
     negotiation loop's growing penalty: with the penalty pinned, a
     coarse result is a function of (source tiles, target tile, region,
-    tile summaries) alone, which is what makes corridors cacheable
-    across iterations and shareable between negotiation and cleanup. *)
+    tile summaries, [exclude]) alone. *)
 val coarse_penalty : int
 
 (** [coarse_corridor scr grid ~region ~sources ~target] runs the coarse
@@ -72,26 +71,9 @@ val coarse_penalty : int
 
     [exclude] prices the net's own current route out of the tile
     congestion (per-tile count subtraction of the cells' own +1 usage)
-    — the coarse analogue of the fine pass's own-route bias, and the
-    property that makes the coarse effective input invariant under the
-    net's own rip-up/re-claim.
-
-    Determinism contract for the corridor cache: the result depends
-    only on the ordered deduplicated list of in-region source tiles,
-    the target tile, the (clipped) region, the grid's tile summaries,
-    and the per-tile counts of in-region [exclude] cells — covered by
-    the cache key plus the tile summary generations
-    ({!Grid.region_unchanged_since}) plus the cache's commit-stamp
-    bookkeeping over the net's own route.
-
-    [source_tiles], when given, must be that same ordered deduplicated
-    in-region source-tile list (the cache key's first component); the
-    coarse pass then seeds from it directly instead of re-deriving it
-    from [sources], with a bit-identical search either way.  Callers
-    that have not already computed the list should omit it. *)
+    — the coarse analogue of the fine pass's own-route bias. *)
 val coarse_corridor :
   ?exclude:Tqec_util.Vec3.t list ->
-  ?source_tiles:int list ->
   scratch ->
   Grid.t ->
   region:Tqec_util.Box3.t ->
@@ -101,12 +83,11 @@ val coarse_corridor :
 
 (** [fine_in_corridor scr grid ~corridor ~region ~penalty ~sources
     ~target] runs the fine cell-level A* restricted to the cells of
-    [corridor] (a {!coarse_corridor} result — freshly computed or
-    replayed from a cache; the path depends only on the corridor's
-    content).  Scratch scales with the corridor volume.  Cost semantics
-    ([penalty], [avoid_used], [exclude], obstacle exemption of sources
-    and target) match {!search}.  [None] when the corridor is
-    infeasible at cell level or the target lies outside it. *)
+    [corridor] (a {!coarse_corridor} result).  Scratch scales with the
+    corridor volume.  Cost semantics ([penalty], [avoid_used],
+    [exclude], obstacle exemption of sources and target) match
+    {!search}.  [None] when the corridor is infeasible at cell level or
+    the target lies outside it. *)
 val fine_in_corridor :
   ?max_expansions:int ->
   ?avoid_used:bool ->

@@ -5,9 +5,6 @@
    values cannot perturb results; totals over a deterministic run are
    themselves deterministic. *)
 
-let cache_hits = Atomic.make 0
-let cache_misses = Atomic.make 0
-let cache_stale = Atomic.make 0
 let coarse_searches = Atomic.make 0
 let fine_searches = Atomic.make 0
 let flat_searches = Atomic.make 0
@@ -15,9 +12,6 @@ let flat_fallbacks = Atomic.make 0
 let scratch_grows = Atomic.make 0
 
 type stats = {
-  cache_hits : int;
-  cache_misses : int;
-  cache_stale : int;
   coarse_searches : int;
   fine_searches : int;
   flat_searches : int;
@@ -27,9 +21,6 @@ type stats = {
 
 let stats () =
   {
-    cache_hits = Atomic.get cache_hits;
-    cache_misses = Atomic.get cache_misses;
-    cache_stale = Atomic.get cache_stale;
     coarse_searches = Atomic.get coarse_searches;
     fine_searches = Atomic.get fine_searches;
     flat_searches = Atomic.get flat_searches;
@@ -38,9 +29,6 @@ let stats () =
   }
 
 let reset () =
-  Atomic.set cache_hits 0;
-  Atomic.set cache_misses 0;
-  Atomic.set cache_stale 0;
   Atomic.set coarse_searches 0;
   Atomic.set fine_searches 0;
   Atomic.set flat_searches 0;

@@ -4,21 +4,10 @@
     The counters are observability only: routing decisions never read
     them, so they cannot perturb results.  Over a deterministic run the
     totals are deterministic too (every increment corresponds to a
-    deterministic event — which searches ran, which cache lookups hit —
-    independent of worker interleaving). *)
+    deterministic event — which searches ran, which scratch arrays
+    grew — independent of worker interleaving). *)
 
 (** {2 Increment points (owned by the router internals)} *)
-
-val cache_hits : int Atomic.t
-(** Corridor-cache lookups that skipped the coarse tile-graph search. *)
-
-val cache_misses : int Atomic.t
-(** Lookups that ran the coarse search: no entry, wrong grid object, or
-    generation-stale (the latter also counted in {!cache_stale}). *)
-
-val cache_stale : int Atomic.t
-(** Subset of {!cache_misses}: an entry existed for the key but a tile
-    in the region had been summary-mutated since it was stored. *)
 
 val coarse_searches : int Atomic.t
 (** Coarse tile-graph A* runs ({!Astar.coarse_corridor}). *)
@@ -41,9 +30,6 @@ val scratch_grows : int Atomic.t
 (** {2 Snapshot} *)
 
 type stats = {
-  cache_hits : int;
-  cache_misses : int;
-  cache_stale : int;
   coarse_searches : int;
   fine_searches : int;
   flat_searches : int;

@@ -48,14 +48,6 @@ type t = {
      O(overused) instead of rescanning the whole x*y*z volume every
      negotiation iteration. *)
   over : (int, unit) Hashtbl.t;
-  (* Per-tile summary generations: [gens.(ti)] is the value of
-     [gen_counter] at the last mutation that changed tile [ti]'s
-     summary-visible state (usage, history, obstacle count, shared
-     mask).  The corridor cache compares a region's tile generations
-     against the counter value recorded when a corridor was computed:
-     all [<= stamp] means no coarse-search input changed. *)
-  gens : int array;
-  mutable gen_counter : int;
 }
 
 let create ?die box =
@@ -74,13 +66,7 @@ let create ?die box =
     tz;
     tiles = Array.make (tx * ty * tz) None;
     over = Hashtbl.create 64;
-    gens = Array.make (tx * ty * tz) 0;
-    gen_counter = 0;
   }
-
-let bump_gen g ti =
-  g.gen_counter <- g.gen_counter + 1;
-  g.gens.(ti) <- g.gen_counter
 
 let box g = g.box
 let die g = g.die
@@ -147,8 +133,7 @@ let set_obstacle g p =
   let t = ensure_tile g ti in
   if Bytes.get t.t_obst ci <> '\001' then begin
     Bytes.set t.t_obst ci '\001';
-    t.t_n_obst <- t.t_n_obst + 1;
-    bump_gen g ti
+    t.t_n_obst <- t.t_n_obst + 1
   end
 
 let set_obstacle_box g b =
@@ -169,7 +154,6 @@ let set_shared g p =
   let ti, ci = tile_cell g p in
   let t = ensure_tile g ti in
   Bytes.set t.t_shared ci '\001';
-  bump_gen g ti;
   (* shared cells have unlimited capacity: whatever their usage, they can
      no longer be overused *)
   Hashtbl.remove g.over (index g p)
@@ -190,12 +174,14 @@ let usage g p =
 let add_usage g p delta =
   guard g p "add_usage";
   let ti, ci = tile_cell g p in
+  let old = match g.tiles.(ti) with None -> 0 | Some t -> t.t_usage.(ci) in
+  let u = old + delta in
+  (* reject before writing anything, the tile allocation included: a
+     caught raise leaves the grid untouched *)
+  if u < 0 then invalid_arg "Grid.add_usage: negative usage";
   let t = ensure_tile g ti in
-  let u = t.t_usage.(ci) + delta in
   t.t_usage.(ci) <- u;
   t.t_sum_usage <- t.t_sum_usage + delta;
-  if delta <> 0 then bump_gen g ti;
-  if u < 0 then invalid_arg "Grid.add_usage: negative usage";
   if Bytes.get t.t_shared ci <> '\001' then
     if u > capacity then Hashtbl.replace g.over (index g p) ()
     else Hashtbl.remove g.over (index g p)
@@ -210,8 +196,7 @@ let add_history g p delta =
   let ti, ci = tile_cell g p in
   let t = ensure_tile g ti in
   t.t_hist.(ci) <- t.t_hist.(ci) + delta;
-  t.t_sum_hist <- t.t_sum_hist + delta;
-  if delta <> 0 then bump_gen g ti
+  t.t_sum_hist <- t.t_sum_hist + delta
 
 (* Integer-coordinate queries for the flat A* kernel: one tile read per
    call and no tuple or [Vec3.t] in sight, so the hot loop allocates
@@ -323,41 +308,6 @@ let tile_free g ti =
   match g.tiles.(ti) with
   | None -> vol
   | Some t -> max 0 (vol - t.t_n_obst - t.t_sum_usage)
-
-let generation g = g.gen_counter
-
-let tile_generation g ti = g.gens.(ti)
-
-let region_unchanged_since g ~since region =
-  match Box3.inter g.box region with
-  | None -> true
-  | Some r ->
-      let lo = g.box.Box3.lo in
-      let tlx = (r.Box3.lo.Vec3.x - lo.Vec3.x) lsr tile_bits in
-      let tly = (r.Box3.lo.Vec3.y - lo.Vec3.y) lsr tile_bits in
-      let tlz = (r.Box3.lo.Vec3.z - lo.Vec3.z) lsr tile_bits in
-      let thx = (r.Box3.hi.Vec3.x - lo.Vec3.x) lsr tile_bits in
-      let thy = (r.Box3.hi.Vec3.y - lo.Vec3.y) lsr tile_bits in
-      let thz = (r.Box3.hi.Vec3.z - lo.Vec3.z) lsr tile_bits in
-      (* cheap global pre-check: nothing at all changed since the stamp *)
-      g.gen_counter <= since
-      ||
-      let unchanged = ref true in
-      let tx = ref tlx in
-      while !unchanged && !tx <= thx do
-        let ty = ref tly in
-        while !unchanged && !ty <= thy do
-          let base = (((!tx * g.ty) + !ty) * g.tz) + tlz in
-          let tz = ref 0 in
-          while !unchanged && !tz <= thz - tlz do
-            if g.gens.(base + !tz) > since then unchanged := false;
-            incr tz
-          done;
-          incr ty
-        done;
-        incr tx
-      done;
-      !unchanged
 
 (* ------------------------------------------------------------------ *)
 (* Memory accounting for the scale-tier benchmarks.                    *)

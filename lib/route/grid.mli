@@ -16,8 +16,9 @@
     the substrate volume.  Untouched cells read as usage 0, history 0,
     no obstacle, not shared.  Each tile also carries incrementally
     maintained summaries (total usage + history, obstacle count) that
-    the hierarchical corridor search reads as tile-level capacity
-    signals. *)
+    the hierarchical router reads as tile-level capacity signals: the
+    coarse corridor search prices tiles with them and the failed-search
+    window growth widens toward free capacity. *)
 
 type t
 
@@ -49,6 +50,9 @@ val is_shared : t -> Tqec_util.Vec3.t -> bool
 
 val usage : t -> Tqec_util.Vec3.t -> int
 
+(** [add_usage g p delta] adds [delta] to [p]'s usage.  Raises
+    [Invalid_argument] when the result would be negative, before
+    changing anything: the grid is as it was. *)
 val add_usage : t -> Tqec_util.Vec3.t -> int -> unit
 
 val history : t -> Tqec_util.Vec3.t -> int
@@ -142,33 +146,6 @@ val tile_blocked : t -> int -> bool
     tile-summary-guided region growth reads to expand a search corridor
     toward under-used volume first. *)
 val tile_free : t -> int -> int
-
-(** {2 Summary generations}
-
-    Every mutation that changes a tile's summary-visible state — usage
-    ({!add_usage} with a non-zero delta), history ({!add_history}),
-    obstacle count ({!set_obstacle} on a previously clear cell) or
-    shared mask ({!set_shared}) — advances a grid-wide counter and
-    stamps it on that tile (and only that tile).  Reads never advance
-    it.  A caller that records {!generation} at compute time can later
-    ask {!region_unchanged_since}: if no tile in the region carries a
-    newer stamp, every summary the computation read is provably
-    unchanged, and the cached result is still exact. *)
-
-(** [generation g] is the current value of the grid-wide mutation
-    counter (0 on a fresh grid). *)
-val generation : t -> int
-
-(** [tile_generation g ti] is the counter value at the last
-    summary-changing mutation of tile [ti] (0 if never mutated). *)
-val tile_generation : t -> int -> int
-
-(** [region_unchanged_since g ~since region] is true when no tile
-    overlapping [region] (clipped to the grid box) has been
-    summary-mutated after counter value [since].  O(tiles overlapping
-    the region), with an O(1) fast path when the whole grid is
-    unchanged. *)
-val region_unchanged_since : t -> since:int -> Tqec_util.Box3.t -> bool
 
 (** {2 Memory accounting} *)
 

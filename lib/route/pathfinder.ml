@@ -10,7 +10,7 @@ type config = {
   history_increment : int;
   region_margin : int;
   corridor_cells : int;
-  corridor_cache : bool;
+  corridor_cache : unit;
   debug : bool;
 }
 
@@ -25,11 +25,7 @@ let default_config =
        the hierarchical path never perturbs their bit-identical
        dense-era routes; scale-tier substrates blow past it. *)
     corridor_cells = 1_000_000;
-    (* Reusing coarse corridors across negotiation iterations is pure
-       optimization — every cache hit is provably identical to
-       recomputing (see [route_net]) — so it defaults on; the off
-       switch exists for cross-checking and benchmark baselines. *)
-    corridor_cache = true;
+    corridor_cache = ();
     (* Per-call, never ambient: a long-running server routes many
        requests with different settings, so the debug switch lives in
        the config (the CLI layer defaults it from TQEC_DEBUG). *)
@@ -62,66 +58,6 @@ let dedup_cells cells =
    out over the pool), and the scratch holds the open queue and score
    arrays. *)
 let scratch_key = Domain.DLS.new_key Astar.create_scratch
-
-(* ------------------------------------------------------------------ *)
-(* Corridor cache.                                                     *)
-(*                                                                     *)
-(* [Astar.coarse_corridor] is a pure function of: the ordered          *)
-(* deduplicated list of in-region source tiles, the target tile, the   *)
-(* region, and the grid's tile summaries (its congestion penalty is    *)
-(* pinned to [Astar.coarse_penalty], and it ignores [avoid_used] and   *)
-(* [exclude] — both are fine-pass concerns).  The first three form the *)
-(* cache key; the summaries are covered by the grid's tile summary     *)
-(* generations: an entry stamped at generation [s] is replayable iff   *)
-(* no tile overlapping the region was summary-mutated after [s]        *)
-(* ([Grid.region_unchanged_since]).  A hit therefore yields exactly    *)
-(* the corridor a fresh coarse search would compute — routes are       *)
-(* bit-identical with the cache on or off; only the work saved         *)
-(* differs.  Tables are per-net.                                       *)
-(*                                                                     *)
-(* A generation stamp alone would self-invalidate on every reroute:    *)
-(* the net's own claim (+1 along its path) and the rip-up that         *)
-(* precedes the next reroute (-1 along that same path) cancel exactly  *)
-(* in every cell and summary, yet both bump generations.  The cache    *)
-(* therefore reasons about the EFFECTIVE coarse input — grid state     *)
-(* minus the net's own route, which is precisely what                  *)
-(* [Astar.coarse_corridor ~exclude] consumes — and that quantity is    *)
-(* invariant under the net's own rip/claim.                            *)
-(*                                                                     *)
-(* Each entry carries [c_commit]: a generation at which               *)
-(*                                                                     *)
-(*   grid state  -  the net's own route usage  =  the entry's coarse   *)
-(*   effective input                   (per tile, over [key]'s region) *)
-(*                                                                     *)
-(* is known to hold, and [c_excl]: the net's route list (the physical  *)
-(* object stored in [route_all]'s routes table; [[]] when unrouted)    *)
-(* at that moment.  An entry is replayable iff no region tile was      *)
-(* touched after [c_commit] and the caller's [exclude] is physically   *)
-(* the [c_excl] object: nothing at all changed, so the effective       *)
-(* input — and hence the corridor a fresh coarse search would return   *)
-(* — is unchanged.                                                     *)
-(*                                                                     *)
-(* [route_all] maintains the equation in brackets around every rip-up  *)
-(* and claim of the net: the pre-pass checks the entry is current      *)
-(* (nothing foreign touched the region since [c_commit]); the          *)
-(* post-pass then advances [c_commit] past the mutation and swaps      *)
-(* [c_excl] for the net's new route object — sound because the         *)
-(* mutation changed grid state and own-route usage by the same         *)
-(* amount.  An entry that misses a bracket's pre-check is DELETED:     *)
-(* its route bookkeeping can no longer be trusted, so it could never   *)
-(* certify again anyway, and dropping it keeps the table — and every   *)
-(* later bracket's pre-pass — sized by the live entries instead of     *)
-(* the run's history. *)
-type cache_entry = {
-  mutable c_commit : int;
-  mutable c_excl : Vec3.t list;
-  mutable c_keep : bool;
-      (* scratch flag carrying the pre-pass verdict of a rip/claim
-         bracket to its post-pass; meaningless outside a bracket *)
-  c_corridor : int list;
-}
-
-type corridor_cache = (int list * int * Box3.t, cache_entry) Hashtbl.t
 
 (* ------------------------------------------------------------------ *)
 (* Tile-summary-guided region growth.                                  *)
@@ -207,7 +143,7 @@ let guided_widen grid ~margin region =
    (a -1 usage bias inside A*, exactly equivalent to ripping the net up
    first). *)
 let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
-    ?(cache : corridor_cache option) grid ~penalty ~margin (n : net) =
+    grid ~penalty ~margin (n : net) =
   match dedup_cells n.pins with
   | [] -> Some []
   | first :: rest ->
@@ -217,9 +153,6 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
         match Box3.inter b grid_box with Some r -> r | None -> grid_box
       in
       let tree = ref [ first ] in
-      (* cache-key scratch, reused across lookups to keep the hot miss
-         path allocation-light *)
-      let key_seen = Hashtbl.create 64 in
       let tree_set = Hashtbl.create 64 in
       Hashtbl.replace tree_set first ();
       let add_cells cells =
@@ -255,68 +188,15 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
              the tile graph bounds the fine search; if the corridor is
              infeasible at cell level, fall back to the exhaustive
              full-window search so completeness is unchanged. *)
-          (* Hierarchical search with the corridor cache consulted
-             first.  A replayed corridor is exactly what a fresh coarse
-             search would compute (see the [corridor_cache] contract
-             above), so the fine pass — and with it the route — cannot
-             tell a hit from a recomputation. *)
-          let hier_search region =
-            match cache with
-            | None ->
-                Astar.search_corridor ~scratch ~avoid_used ~exclude grid
-                  ~region ~penalty ~sources:!tree ~target:pin
-            | Some tbl -> (
-                Hashtbl.clear key_seen;
-                let tiles = ref [] in
-                List.iter
-                  (fun s ->
-                    if Box3.contains region s then begin
-                      let ti = Grid.tile_index grid s in
-                      if not (Hashtbl.mem key_seen ti) then begin
-                        Hashtbl.add key_seen ti ();
-                        tiles := ti :: !tiles
-                      end
-                    end)
-                  !tree;
-                let key_tiles = List.rev !tiles in
-                let key = (key_tiles, Grid.tile_index grid pin, region) in
-                match Hashtbl.find_opt tbl key with
-                | Some e
-                  when e.c_excl == exclude
-                       && Grid.region_unchanged_since grid ~since:e.c_commit
-                            region ->
-                    Atomic.incr Counters.cache_hits;
-                    Astar.fine_in_corridor ~avoid_used ~exclude scratch grid
-                      ~corridor:e.c_corridor ~region ~penalty ~sources:!tree
-                      ~target:pin
-                | stale -> (
-                    Atomic.incr Counters.cache_misses;
-                    if stale <> None then Atomic.incr Counters.cache_stale;
-                    let stamp = Grid.generation grid in
-                    match
-                      (* the key's tile list doubles as the coarse seed
-                         list — same derivation, walked once *)
-                      Astar.coarse_corridor ~exclude ~source_tiles:key_tiles
-                        scratch grid ~region ~sources:!tree ~target:pin
-                    with
-                    | None -> None
-                    | Some corridor ->
-                        (* the equation holds right now by construction:
-                           the coarse just consumed grid-minus-[exclude],
-                           and [exclude] is the net's current route *)
-                        Hashtbl.replace tbl key
-                          { c_commit = stamp; c_excl = exclude;
-                            c_keep = false; c_corridor = corridor };
-                        Astar.fine_in_corridor ~avoid_used ~exclude scratch
-                          grid ~corridor ~region ~penalty ~sources:!tree
-                          ~target:pin))
-          in
           let try_region region =
             if Box3.volume region <= corridor_cells then
               Astar.search ~scratch ~avoid_used ~exclude grid ~region ~penalty
                 ~sources:!tree ~target:pin
             else
-              match hier_search region with
+              match
+                Astar.search_corridor ~scratch ~avoid_used ~exclude grid
+                  ~region ~penalty ~sources:!tree ~target:pin
+              with
               | Some path -> Some path
               | None ->
                   Atomic.incr Counters.flat_fallbacks;
@@ -411,63 +291,6 @@ let route_all grid config nets =
       nets
   in
   let route_set = ref nets in
-  (* Corridor-cache tables, one per net, allocated up front.  Entries
-     self-invalidate via the summary generations — see the
-     [corridor_cache] contract. *)
-  let caches =
-    if config.corridor_cache then begin
-      let t = Hashtbl.create 64 in
-      List.iter (fun n -> Hashtbl.replace t n.net_id (Hashtbl.create 8)) nets;
-      Some t
-    end
-    else None
-  in
-  let cache_of n =
-    match caches with
-    | None -> None
-    | Some t -> Hashtbl.find_opt t n.net_id
-  in
-  (* Rip/claim brackets maintaining the [c_commit]/[c_excl] equation
-     (see the cache contract above).  Each bracket is a pre-pass over
-     the net's entries, the usage mutation itself, and a post-pass.
-     [excl_after] is the net's route object right after the mutation:
-     [[]] for a rip-up, the claimed cell list for a claim.  Per-entry
-     updates commute, so the tables' iteration order never reaches any
-     output. *)
-  let bracket n excl_after mutate =
-    match cache_of n with
-    | None -> mutate ()
-    | Some tbl ->
-        (* hash-order: per-entry flag/stamp writes are independent of
-           the order entries are visited in *)
-        Hashtbl.iter
-          (fun (_, _, region) e ->
-            e.c_keep <-
-              Grid.region_unchanged_since grid ~since:e.c_commit region)
-          tbl;
-        mutate ();
-        let now = Grid.generation grid in
-        (* Entries that fail the pre-pass can never certify again (the
-           window moved for good), so they are deleted rather than
-           poisoned.  A multi-pin net mints fresh keys every
-           iteration as its routed tree changes, so keeping dead entries
-           would grow the table — and with it every later bracket's
-           pre-pass — linearly in iterations. *)
-        let dead = ref [] in
-        (* hash-order: same argument — order-independent per-entry
-           writes; the dead list only feeds unordered removals *)
-        Hashtbl.iter
-          (fun k e ->
-            if e.c_keep then begin
-              e.c_commit <- now;
-              e.c_excl <- excl_after
-            end
-            else dead := k :: !dead)
-          tbl;
-        List.iter (Hashtbl.remove tbl) !dead
-  in
-  let rip net = bracket net [] (fun () -> rip_up net.net_id) in
-  let claim_net net cells = bracket net cells (fun () -> claim net.net_id cells) in
   (* Batch routing can sustain a lock-step oscillation: two symmetric
      nets avoiding each other's stale position swap cells forever, each
      move depositing history on both alternatives equally.  Serial
@@ -495,12 +318,12 @@ let route_all grid config nets =
          batches take the same path to break batch oscillations. *)
       Array.iter
         (fun n ->
-          rip n;
+          rip_up n.net_id;
           match
-            route_net ~corridor_cells:config.corridor_cells
-              ?cache:(cache_of n) grid ~penalty:penalty_now ~margin n
+            route_net ~corridor_cells:config.corridor_cells grid
+              ~penalty:penalty_now ~margin n
           with
-          | Some cells -> claim_net n cells
+          | Some cells -> claim n.net_id cells
           | None -> still_unrouted := n.net_id :: !still_unrouted)
         batch
     else begin
@@ -514,16 +337,15 @@ let route_all grid config nets =
       let found =
         Array.map
           (fun n ->
-            route_net ~corridor_cells:config.corridor_cells
-              ?cache:(cache_of n) grid ~exclude:(exclude_of n)
-              ~penalty:penalty_now ~margin n)
+            route_net ~corridor_cells:config.corridor_cells grid
+              ~exclude:(exclude_of n) ~penalty:penalty_now ~margin n)
           batch
       in
       Array.iteri
         (fun i n ->
-          rip n;
+          rip_up n.net_id;
           match found.(i) with
-          | Some cells -> claim_net n cells
+          | Some cells -> claim n.net_id cells
           | None -> still_unrouted := n.net_id :: !still_unrouted)
         batch
     end;
@@ -582,18 +404,17 @@ let route_all grid config nets =
         | [] -> ()
         | victim :: others -> (
             let old = Hashtbl.find routes victim.net_id in
-            rip victim;
+            rip_up victim.net_id;
             match
               route_net ~avoid_used:true
-                ~corridor_cells:config.corridor_cells
-                ?cache:(cache_of victim) grid ~penalty:!penalty
+                ~corridor_cells:config.corridor_cells grid ~penalty:!penalty
                 ~margin:config.region_margin victim
             with
             | Some cells ->
-                claim_net victim cells;
+                claim victim.net_id cells;
                 progressed := true
             | None ->
-                claim_net victim old;
+                claim victim.net_id old;
                 try_victims others)
       in
       try_victims involved;
