@@ -4,7 +4,7 @@
    alias.
 
    Each instance runs the full flow at quick effort, then re-checks the
-   result with [Pipeline.check] — placement overlap, routing
+   result with [Pipeline.verify] — placement overlap, routing
    connectivity/pin coverage, obstacle and bounds legality, capacity and
    overuse accounting — and finally cross-checks the whole flow's
    determinism by re-running it under a different worker count.
@@ -54,7 +54,7 @@ let run_one name =
           circuit
       in
       let r = run (Some 1) in
-      let issues = Pipeline.check r in
+      let issues = Tqec_verify.Violation.to_strings (Pipeline.verify r) in
       let routed = r.Pipeline.routing.Pathfinder.success in
       let deterministic =
         (run (Some 4)).Pipeline.routing = r.Pipeline.routing
@@ -174,8 +174,9 @@ let steady_scratch () =
 
 (* Allocation gates.  [Gc.minor_words] repeats exactly for the same
    single-domain computation, so these are work counts, not walls: they
-   pin that the flat A* kernel and geometry emission stay free of
-   per-step allocation. *)
+   pin that the flat A* kernel, geometry emission and the Steiner
+   bookkeeping around each connection stay free of per-step
+   allocation. *)
 module Astar = Tqec_route.Astar
 
 let minor_words_of f =
@@ -304,12 +305,60 @@ let emit_allocation_gate () =
       w_small w_big;
   sized && linear
 
+(* Gate 3: Steiner bookkeeping.  One net of 64 pins and one of 256 pins,
+   each on an empty grid with its pins on a square lattice, so every
+   connection's path has about the same length: routing minor words per
+   pin at 256 stay within 1.5x of those at 64.  Per-connection work that
+   allocates in the number of pins (a rebuilt, re-sorted pin list)
+   scales the per-pin cost with the net, about 4x here. *)
+let steiner_allocation_gate () =
+  let spacing = 4 in
+  let per_pin side =
+    let extent = (side - 1) * spacing in
+    let nets =
+      [
+        {
+          Pathfinder.net_id = 0;
+          pins =
+            List.init (side * side) (fun i ->
+                Vec3.make (i / side * spacing) (i mod side * spacing) 0);
+        };
+      ]
+    in
+    let fresh () =
+      Grid.create (Box3.make Vec3.zero (Vec3.make extent extent 1))
+    in
+    let route g () = Pathfinder.route_all g Pathfinder.default_config nets in
+    (* warm the per-domain A* scratch at this grid size *)
+    ignore (route (fresh ()) ());
+    let g = fresh () in
+    let r, words = minor_words_of (route g) in
+    let legal = r.Pathfinder.success && Pathfinder.validate g r nets = [] in
+    (legal, float_of_int words /. float_of_int (side * side))
+  in
+  let legal_small, w_small = per_pin 8 in
+  let legal_big, w_big = per_pin 16 in
+  let linear = w_big <= 1.5 *. w_small in
+  Printf.printf
+    "[route-stress] steiner-alloc      pins=64/256 words-per-pin=%.1f/%.1f \
+     routed=%b/%b linear=%b\n%!"
+    w_small w_big legal_small legal_big linear;
+  if not (legal_small && legal_big) then
+    Printf.eprintf "[route-stress]   error: a lattice net did not route legally\n%!";
+  if not linear then
+    Printf.eprintf
+      "[route-stress]   error: Steiner routing words per pin grow with the \
+       net (%.1f vs %.1f, want within 1.5x)\n%!"
+      w_small w_big;
+  legal_small && legal_big && linear
+
 let () =
   let ok = List.fold_left (fun acc name -> run_one name && acc) true benchmarks in
   let ok = sparse_substrate () && ok in
   let ok = steady_scratch () && ok in
   let ok = astar_allocation_gate () && ok in
   let ok = emit_allocation_gate () && ok in
+  let ok = steiner_allocation_gate () && ok in
   if ok then print_endline "[route-stress] all geometries legal"
   else begin
     prerr_endline "[route-stress] FAILED";

@@ -310,7 +310,7 @@ let compress_cmd =
         r.Pipeline.routing.Tqec_route.Pathfinder.success r.Pipeline.elapsed
     end;
     if timings then print_timings r;
-    match Pipeline.check r with
+    match Tqec_verify.Violation.to_strings (Pipeline.verify r) with
     | [] -> ()
     | issues ->
         List.iter (Format.eprintf "warning: %s@.") issues;

@@ -216,7 +216,7 @@ let routing_layers (placement : Placer.t) nets =
   let area = float_of_int (max 1 (placement.Placer.width * placement.Placer.height)) in
   Tqec_util.Stats.clamp 1 16 (int_of_float (Float.ceil (1.5 *. demand /. area)))
 
-(* The routing grid reconstruction shared by [run_icm] and [check]: the
+(* The routing grid reconstruction shared by [run_icm] and [verify]: the
    validator must see the same die, obstacle and shared-pin masks the
    routes were produced against, or legality checks are meaningless.
    [?extra_z] lets a caller that already computed [routing_layers] pass
@@ -447,8 +447,6 @@ let run ?(config = default_config) ?on_stage circuit =
     else Tqec_circuit.Clifford_t.decompose circuit
   in
   run_icm ~config ?on_stage (Tqec_icm.Decompose.run circuit)
-
-let check r = Tqec_verify.Violation.to_strings (verify r)
 
 (* The deterministic result record: exactly what `tqecc compress` prints
    minus the wall-clock tail.  A pure function of (input, seed, knobs) —

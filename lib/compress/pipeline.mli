@@ -157,7 +157,3 @@ val fingerprint : t -> string
 val verify :
   ?stages:Tqec_verify.Violation.stage list -> t -> Tqec_verify.Violation.report
 
-(** [check r] = [Tqec_verify.Violation.to_strings (verify r)]; empty when
-    sound.  Deprecated alias kept for existing callers — new code should
-    use {!verify} and inspect the structured report. *)
-val check : t -> string list

@@ -155,33 +155,36 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
       let tree = ref [ first ] in
       let tree_set = Hashtbl.create 64 in
       Hashtbl.replace tree_set first ();
+      (* Prim order.  Each non-root pin keeps its exact Manhattan
+         distance to the tree ([dist]) and the newest tree cell at that
+         distance ([near]), updated as cells join; the first [live]
+         slots hold the pins still to connect. *)
+      let pins = Array.of_list rest in
+      let dist = Array.map (Vec3.manhattan first) pins in
+      let near = Array.make (Array.length pins) first in
+      let live = ref (Array.length pins) in
       let add_cells cells =
         List.iter
           (fun c ->
             if not (Hashtbl.mem tree_set c) then begin
               Hashtbl.replace tree_set c ();
-              tree := c :: !tree
+              tree := c :: !tree;
+              (* [<=]: a tie moves the anchor to the newer cell *)
+              for i = 0 to !live - 1 do
+                let d = Vec3.manhattan c pins.(i) in
+                if d <= dist.(i) then begin
+                  dist.(i) <- d;
+                  near.(i) <- c
+                end
+              done
             end)
           cells
       in
-      (* Prim order: each pin keeps its distance to the growing tree,
-         refreshed lazily; always connect the nearest remaining pin. *)
-      let remaining = ref (List.map (fun p -> (Vec3.manhattan first p, p)) rest) in
-      let dist_to_tree p =
-        List.fold_left (fun acc c -> min acc (Vec3.manhattan c p)) max_int !tree
-      in
-      let connect pin =
+      let connect pin nearest =
         if Hashtbl.mem tree_set pin then true
         else begin
           (* restrict the search to the corridor between the pin and the
              nearest point of the tree, widening on failure *)
-          let nearest =
-            List.fold_left
-              (fun best c ->
-                if Vec3.manhattan c pin < Vec3.manhattan best pin then c
-                else best)
-              (List.hd !tree) !tree
-          in
           let corridor = Box3.bounding [ pin; nearest ] in
           (* Small windows take the historical flat search (bit-identical
              routes).  Past the volume threshold, a coarse corridor over
@@ -242,20 +245,23 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
         end
       in
       let ok = ref true in
-      while !ok && !remaining <> [] do
-        (* refresh distances and pick the closest pin *)
-        let refreshed =
-          List.map (fun (_, p) -> (dist_to_tree p, p)) !remaining
-        in
-        let (_, pin), rest' =
-          match List.sort compare refreshed with
-          | best :: others -> (best, others)
-          (* partial: the enclosing loop runs only while [remaining]
-             is non-empty, so the sorted list has a head *)
-          | [] -> assert false
-        in
-        remaining := rest';
-        ok := connect pin
+      while !ok && !live > 0 do
+        (* connect the nearest live pin, ties broken by coordinates (pins
+           are distinct, so the order is total and slot order never
+           matters) *)
+        let best = ref 0 in
+        for i = 1 to !live - 1 do
+          let c = Int.compare dist.(i) dist.(!best) in
+          if c < 0 || (c = 0 && Vec3.compare pins.(i) pins.(!best) < 0) then
+            best := i
+        done;
+        let b = !best and last = !live - 1 in
+        let pin = pins.(b) and nearest = near.(b) in
+        pins.(b) <- pins.(last);
+        dist.(b) <- dist.(last);
+        near.(b) <- near.(last);
+        live := last;
+        ok := connect pin nearest
       done;
       if !ok then Some (List.rev !tree) else None
 

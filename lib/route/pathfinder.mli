@@ -1,10 +1,14 @@
 (** Negotiation-based rip-up and re-route (PathFinder, McMurchie &
     Ebeling FPGA'95), the paper's dual-defect net routing stage.
 
-    Every iteration re-routes each multi-pin net with A* inside a
-    restricted region (the net's pin bounding box plus a margin that
-    grows on failure), building the net as a Steiner tree: pins connect
-    one at a time to the growing tree.  After an iteration, cells used
+    Every iteration re-routes each multi-pin net as a Steiner tree grown
+    from its first pin in Prim order: the next pin to connect is the one
+    nearest the tree by Manhattan distance, ties broken by pin
+    coordinates, so the order in which a net lists its other pins does
+    not matter.  Each connection is an A* search from the whole tree to
+    the pin inside a window: the bounding box of the pin and its nearest
+    tree cell (the newest cell at that distance), plus a margin that
+    grows on failure, up to the whole grid.  After an iteration, cells used
     beyond capacity receive history cost and the congestion penalty
     grows; the loop ends when no cell is overused or the iteration
     budget is exhausted.

@@ -6,6 +6,7 @@ open Tqec_compress
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
+let issues r = Tqec_verify.Violation.to_strings (Pipeline.verify r)
 
 let quick variant =
   { Pipeline.default_config with variant; effort = Tqec_place.Placer.Quick }
@@ -23,7 +24,7 @@ let test_pipeline_three_cnot_all_variants () =
       let r = Pipeline.run_icm ~config:(quick variant) icm in
       check Alcotest.bool "routed" true r.Pipeline.routing.Tqec_route.Pathfinder.success;
       check Alcotest.bool "volume positive" true (r.Pipeline.volume > 0);
-      check Alcotest.(list string) "checks clean" [] (Pipeline.check r))
+      check Alcotest.(list string) "checks clean" [] (issues r))
     [ Pipeline.Full; Pipeline.Dual_only; Pipeline.Modular_only ]
 
 (* The pipeline's acyclicity gate: a cyclic constraint DAG must surface
@@ -99,7 +100,7 @@ let prop_pipeline_sound_on_random =
       let c = Generator.random_clifford_t ~seed ~n_qubits:3 ~n_gates:15 in
       let r = Pipeline.run ~config:(quick Pipeline.Full) c in
       r.Pipeline.routing.Tqec_route.Pathfinder.success
-      && Pipeline.check r = [])
+      && issues r = [])
 
 let prop_full_never_worse_than_modular =
   QCheck.Test.make ~name:"bridging never hurts vs modular placement"
@@ -330,7 +331,7 @@ let test_midsize_benchmark_soundness () =
   let icm = Tqec_icm.Decompose.run (Clifford_t.decompose c) in
   let r = Pipeline.run_icm ~config:(quick Pipeline.Full) icm in
   check Alcotest.bool "routed" true r.Pipeline.routing.Tqec_route.Pathfinder.success;
-  check Alcotest.(list string) "pipeline checks" [] (Pipeline.check r);
+  check Alcotest.(list string) "pipeline checks" [] (issues r);
   check Alcotest.int "emit geometry issues" 0 (List.length (Emit.check r));
   check Alcotest.bool "emit volume consistent" true (Emit.volume_consistent r);
   (* strands are numbered 0..n-1 in list order *)

@@ -832,6 +832,83 @@ let prop_pathfinder_random_nets_valid =
       && Pathfinder.validate g r nets = []
       && grid_matches_routes g r)
 
+(* The Steiner tree grows in Prim order: nearest pin first, ties broken
+   by coordinates.  So the order in which a net lists its pins after the
+   first (the tree's root) must not matter: a pick that broke ties by
+   list position would change routes here. *)
+let prop_pathfinder_pin_order_invariant =
+  QCheck.Test.make ~name:"Prim order ignores non-root pin listing" ~count:25
+    (QCheck.int_range 1 10_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let nx = 6 + Rng.int rng 7 and ny = 6 + Rng.int rng 7 in
+      let nz = 1 + Rng.int rng 3 in
+      let random_cell () =
+        vec (Rng.int rng nx) (Rng.int rng ny) (Rng.int rng nz)
+      in
+      let obstacles = List.init (nx * ny * nz / 8) (fun _ -> random_cell ()) in
+      let nets =
+        List.init (1 + Rng.int rng 4) (fun i ->
+            {
+              Pathfinder.net_id = i;
+              pins = List.init (3 + Rng.int rng 10) (fun _ -> random_cell ());
+            })
+      in
+      let shuffled =
+        List.map
+          (fun (n : Pathfinder.net) ->
+            match n.Pathfinder.pins with
+            | root :: rest ->
+                let a = Array.of_list rest in
+                Rng.shuffle rng a;
+                { n with Pathfinder.pins = root :: Array.to_list a }
+            | [] -> n)
+          nets
+      in
+      let route nets =
+        let g =
+          Grid.create (Box3.make (vec 0 0 0) (vec (nx - 1) (ny - 1) (nz - 1)))
+        in
+        List.iter (Grid.set_obstacle g) obstacles;
+        List.iter
+          (fun (n : Pathfinder.net) ->
+            List.iter (Grid.set_shared g) n.Pathfinder.pins)
+          nets;
+        Pathfinder.route_all g Pathfinder.default_config nets
+      in
+      let a = route nets and b = route shuffled in
+      a.Pathfinder.routes = b.Pathfinder.routes
+      && a.Pathfinder.success = b.Pathfinder.success
+      && a.Pathfinder.iterations_used = b.Pathfinder.iterations_used)
+
+(* Golden many-pin route: one 48-pin net on a 32x32x2 grid with seeded
+   obstacles.  The digest pins the exact cell list, so a change to the
+   Prim pin order, the search windows or the A* tie-breaks shows here. *)
+let test_pathfinder_golden_many_pin () =
+  let rng = Random.State.make [| 48 |] in
+  let random_cell () =
+    vec (Random.State.int rng 32) (Random.State.int rng 32)
+      (Random.State.int rng 2)
+  in
+  let pins = List.init 48 (fun _ -> random_cell ()) in
+  let g = Grid.create (Box3.make (vec 0 0 0) (vec 31 31 1)) in
+  for _ = 1 to 200 do
+    let c = random_cell () in
+    if not (List.exists (Vec3.equal c) pins) then Grid.set_obstacle g c
+  done;
+  let nets = [ { Pathfinder.net_id = 0; pins } ] in
+  let r = Pathfinder.route_all g Pathfinder.default_config nets in
+  check Alcotest.(list string) "legal" [] (Pathfinder.validate g r nets);
+  check Alcotest.bool "routed" true r.Pathfinder.success;
+  let cells =
+    match r.Pathfinder.routes with
+    | [ route ] -> route.Pathfinder.r_cells
+    | _ -> Alcotest.fail "expected exactly one route"
+  in
+  let printed = String.concat " " (List.map Vec3.to_string cells) in
+  check Alcotest.string "route digest" "48d115fec12bf1557c1f3e2d14b9e755"
+    (Digest.to_hex (Digest.string printed))
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: route-stage jobs invariance on suite circuits           *)
 (* ------------------------------------------------------------------ *)
@@ -863,7 +940,7 @@ let test_pipeline_route_jobs_invariant name factor () =
   let serial = run_suite_pipeline name factor (Some 1) in
   let parallel = run_suite_pipeline name factor (Some 4) in
   check Alcotest.(list string) "parallel pipeline sound" []
-    (Pipeline.check parallel);
+    (Tqec_verify.Violation.to_strings (Pipeline.verify parallel));
   check Alcotest.bool "identical routing" true
     (serial.Pipeline.routing = parallel.Pipeline.routing);
   check Alcotest.int "identical volume" serial.Pipeline.volume
@@ -913,7 +990,10 @@ let suites =
           test_pathfinder_congested_converges;
         Alcotest.test_case "congested saturates" `Quick
           test_pathfinder_congested_saturates;
+        Alcotest.test_case "golden many-pin route" `Quick
+          test_pathfinder_golden_many_pin;
         qtest prop_pathfinder_random_nets_valid;
+        qtest prop_pathfinder_pin_order_invariant;
       ] );
     ( "route.corridor",
       [

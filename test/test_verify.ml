@@ -70,10 +70,6 @@ let test_stage_scoping () =
   check Alcotest.bool "only the requested stages ran" true
     (report.V.checked = [ V.Icm; V.Placement ])
 
-let test_check_alias () =
-  check Alcotest.(list string) "deprecated alias empty on sound runs" []
-    (Pipeline.check (run_three ()))
-
 (* ------------------------------------------------------------------ *)
 (* Planted faults, one per stage boundary                              *)
 (* ------------------------------------------------------------------ *)
@@ -259,7 +255,6 @@ let suites =
         Alcotest.test_case "variants and T gadgets clean" `Quick
           test_clean_variants_and_gadgets;
         Alcotest.test_case "stage scoping" `Quick test_stage_scoping;
-        Alcotest.test_case "check alias" `Quick test_check_alias;
       ] );
     ( "verify.mutations",
       [
