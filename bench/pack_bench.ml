@@ -1,5 +1,10 @@
 (* Micro-benchmark for the incremental repack: the annealer's exact
-   perturb/pack/undo pattern over a 128-block tree. *)
+   perturb/pack/undo pattern over an n-block tree (default 128).  It ends
+   by checking the final incremental pack against the brute-force
+   reference packer and exits 1 on a mismatch, so a run doubles as a
+   correctness smoke.
+
+   Usage: pack_bench.exe [n] [moves] *)
 module Bstar_tree = Tqec_place.Bstar_tree
 module Rng = Tqec_util.Rng
 
@@ -10,24 +15,13 @@ let argv_int i default =
   | v -> v
   | exception (Invalid_argument _ | Failure _) -> default
 
-let argv_string i default =
-  match Sys.argv.(i) with
-  | s -> s
-  | exception Invalid_argument _ -> default
-
 let () =
   let n = argv_int 1 128 in
   let moves = argv_int 2 120_000 in
-  let mode =
-    match argv_string 3 "flat" with
-    | "balanced" -> `Balanced
-    | "flat" -> `Flat
-    | _ -> `Auto
-  in
   let dims =
     Array.init n (fun i -> (1 + ((i * 7) mod 5), 1 + ((i * 3) mod 4)))
   in
-  let t = Bstar_tree.create ~contour:mode dims in
+  let t = Bstar_tree.create dims in
   let rng = Rng.create 42 in
   let xs = Array.make n 0 and ys = Array.make n 0 in
   ignore (Bstar_tree.pack_xy t xs ys);
@@ -53,8 +47,11 @@ let () =
     acc := !acc + w + h;
     if Rng.bool rng then undo ()
   done;
-  Printf.printf "%d blocks, %d moves (%s): %.3fs (checksum %d)\n"
-    n moves
-    (match mode with `Flat -> "flat" | `Balanced -> "balanced" | `Auto -> "auto")
+  Printf.printf "%d blocks, %d moves: %.3fs (checksum %d)\n" n moves
     (Unix.gettimeofday () -. t0)
-    !acc
+    !acc;
+  (* [pack] runs the incremental [pack_xy] on the tree's warm cache *)
+  if Bstar_tree.pack t <> Bstar_tree.pack_reference t then begin
+    prerr_endline "pack_bench: incremental pack differs from pack_reference";
+    exit 1
+  end

@@ -1,163 +1,9 @@
 module Rng = Tqec_util.Rng
 
-(* Persistent balanced skyline contour.  Breakpoints (x, y) mean the
-   contour has height y from x to the next breakpoint (the last extends
-   forever); the minimum key is always 0.  An AVL with join-based splits
-   makes a placement O((k + 1) log n) where k is the number of
-   breakpoints the new block swallows — and since every placement
-   inserts at most two breakpoints, the amortized cost is O(log n).
-   Persistence is what makes incremental repacking cheap: the contour
-   after every DFS step is checkpointed by storing the root pointer,
-   O(1) per step. *)
-module Contour : sig
-  type t
-
-  val initial : t
-  (** the all-zero contour: single breakpoint (0, 0) *)
-
-  val place : t -> x0:int -> x1:int -> h:int -> t * int
-  (** [place c ~x0 ~x1 ~h] drops a block of height [h] spanning
-      [x0, x1) onto the contour; returns the new contour and the base y
-      the block rests on. *)
-end = struct
-  type t =
-    | Leaf
-    | Node of { l : t; x : int; y : int; r : t; ht : int }
-
-  let ht = function Leaf -> 0 | Node n -> n.ht
-
-  let mk l x y r = Node { l; x; y; r; ht = 1 + max (ht l) (ht r) }
-
-  (* standard AVL rebalance; valid when the height difference is <= 3 *)
-  let bal l x y r =
-    let hl = ht l and hr = ht r in
-    if hl > hr + 2 then
-      match l with
-      | Node { l = ll; x = lx; y = ly; r = lr; _ } ->
-          if ht ll >= ht lr then mk ll lx ly (mk lr x y r)
-          else begin
-            match lr with
-            | Node { l = lrl; x = lrx; y = lry; r = lrr; _ } ->
-                mk (mk ll lx ly lrl) lrx lry (mk lrr x y r)
-            (* partial: height > sibling + 2 forces a Node (AVL) *)
-            | Leaf -> assert false
-          end
-      (* partial: hl > hr + 2 >= 2 means l cannot be a Leaf (AVL) *)
-      | Leaf -> assert false
-    else if hr > hl + 2 then
-      match r with
-      | Node { l = rl; x = rx; y = ry; r = rr; _ } ->
-          if ht rr >= ht rl then mk (mk l x y rl) rx ry rr
-          else begin
-            match rl with
-            | Node { l = rll; x = rlx; y = rly; r = rlr; _ } ->
-                mk (mk l x y rll) rlx rly (mk rlr rx ry rr)
-            (* partial: height > sibling + 2 forces a Node (AVL) *)
-            | Leaf -> assert false
-          end
-      (* partial: hr > hl + 2 >= 2 means r cannot be a Leaf (AVL) *)
-      | Leaf -> assert false
-    else mk l x y r
-
-  (* join trees of arbitrary heights around a middle binding *)
-  let rec join l x y r =
-    let hl = ht l and hr = ht r in
-    if hl > hr + 2 then begin
-      match l with
-      | Node { l = ll; x = lx; y = ly; r = lr; _ } ->
-          bal ll lx ly (join lr x y r)
-      (* partial: hl > hr + 2 >= 2 means l cannot be a Leaf (AVL) *)
-      | Leaf -> assert false
-    end
-    else if hr > hl + 2 then begin
-      match r with
-      | Node { l = rl; x = rx; y = ry; r = rr; _ } ->
-          bal (join l x y rl) rx ry rr
-      (* partial: hr > hl + 2 >= 2 means r cannot be a Leaf (AVL) *)
-      | Leaf -> assert false
-    end
-    else mk l x y r
-
-  (* (keys < k, keys >= k) *)
-  let rec split_lt k = function
-    | Leaf -> (Leaf, Leaf)
-    | Node { l; x; y; r; _ } ->
-        if x < k then begin
-          let m, hi = split_lt k r in
-          (join l x y m, hi)
-        end
-        else begin
-          let lo, m = split_lt k l in
-          (lo, join m x y r)
-        end
-
-  (* (keys <= k, keys > k) *)
-  let rec split_le k = function
-    | Leaf -> (Leaf, Leaf)
-    | Node { l; x; y; r; _ } ->
-        if x <= k then begin
-          let m, hi = split_le k r in
-          (join l x y m, hi)
-        end
-        else begin
-          let lo, m = split_le k l in
-          (lo, join m x y r)
-        end
-
-  let rec min_binding = function
-    | Leaf -> None
-    | Node { l = Leaf; x; y; _ } -> Some (x, y)
-    | Node { l; _ } -> min_binding l
-
-  let rec max_binding = function
-    | Leaf -> None
-    | Node { x; y; r = Leaf; _ } -> Some (x, y)
-    | Node { r; _ } -> max_binding r
-
-  let rec iter f = function
-    | Leaf -> ()
-    | Node { l; x; y; r; _ } ->
-        iter f l;
-        f x y;
-        iter f r
-
-  let initial = mk Leaf 0 0 Leaf
-
-  let place t ~x0 ~x1 ~h =
-    let left, rest = split_lt x0 t in
-    (* mid: swallowed breakpoints in [x0, x1]; right: untouched tail *)
-    let mid, right = split_le x1 rest in
-    (* height of the segment covering x0 (greatest key <= x0) *)
-    let cov =
-      match min_binding mid with
-      | Some (k, y) when k = x0 -> y
-      | _ -> ( match max_binding left with Some (_, y) -> y | None -> 0)
-    in
-    (* base: tallest segment overlapping (x0, x1); y_end: contour height
-       just right of x1 (the segment covering x1) *)
-    let base = ref cov and y_end = ref cov in
-    iter
-      (fun k y ->
-        if k < x1 && y > !base then base := y;
-        y_end := y)
-      mid;
-    let t' = join left x0 (!base + h) (join Leaf x1 !y_end right) in
-    (t', !base)
-end
-
-(* Flat contours checkpoint every [cp_interval] DFS steps; an
+(* The contour is checkpointed every [cp_interval] DFS steps; an
    incremental repack replays at most [cp_interval - 1] cached
    placements to rebuild the contour at the divergence point. *)
 let cp_interval = 8
-
-(* Trees at least this large use the balanced persistent contour; below
-   it the flat array splice wins on constants.  Measured on this
-   machine the binary-search flat splice still beats the AVL by ~3x at
-   2048 blocks (pointer chasing and allocation dominate), so the
-   crossover is set well beyond every suite instance; the balanced
-   back-end stays available via [?contour] and is differentially tested
-   against the flat one. *)
-let balanced_threshold = 100_000
 
 (* Tree slots form the binary tree; each slot holds a block id.  Moves
    permute block ids across slots, so [pack] can report positions per
@@ -190,15 +36,13 @@ type t = {
      A prefix of steps whose (block, x0, w, h) tuples are unchanged
      packs to exactly the same positions and contour, so the next pack
      reuses it and restarts the skyline from a checkpoint. *)
-  balanced : bool;
   mutable c_valid : int; (* cached steps (0 before the first pack) *)
   c_block : int array; (* by DFS step *)
   c_x : int array;
   c_w : int array; (* effective (rotation-applied) dims at pack time *)
   c_h : int array;
   c_y : int array;
-  c_contour : Contour.t array; (* balanced: contour AFTER each step *)
-  (* flat: contour BEFORE step j * cp_interval, row-major *)
+  (* contour BEFORE step j * cp_interval, row-major *)
   cp_x : int array;
   cp_y : int array;
   cp_len : int array;
@@ -244,52 +88,42 @@ let rebuild_free t =
 (* construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let alloc ?(contour = `Auto) dims =
-  let n = Array.length dims in
-  let balanced =
-    match contour with
-    | `Auto -> n >= balanced_threshold
-    | `Flat -> false
-    | `Balanced -> true
-  in
-  let cp_rows = if balanced then 0 else (n / cp_interval) + 1 in
-  let cp_width = (2 * n) + 2 in
-  {
-    n;
-    w = Array.map fst dims;
-    h = Array.map snd dims;
-    rot = Array.make n false;
-    block_at = Array.init n (fun i -> i);
-    slot_of = Array.init n (fun i -> i);
-    parent = Array.make n (-1);
-    left = Array.make n (-1);
-    right = Array.make n (-1);
-    root = 0;
-    free = Array.make n 0;
-    free_pos = Array.make n (-1);
-    free_len = 0;
-    sk_x = Array.make cp_width 0;
-    sk_y = Array.make cp_width 0;
-    sk_len = 0;
-    st_slot = Array.make (n + 1) 0;
-    st_x = Array.make (n + 1) 0;
-    balanced;
-    c_valid = 0;
-    c_block = Array.make n 0;
-    c_x = Array.make n 0;
-    c_w = Array.make n 0;
-    c_h = Array.make n 0;
-    c_y = Array.make n 0;
-    c_contour = Array.make (if balanced then n else 0) Contour.initial;
-    cp_x = Array.make (cp_rows * cp_width) 0;
-    cp_y = Array.make (cp_rows * cp_width) 0;
-    cp_len = Array.make (max 1 cp_rows) 0;
-  }
-
-let create ?contour dims =
+let create dims =
   if Array.length dims = 0 then invalid_arg "Bstar_tree.create: no blocks";
-  let t = alloc ?contour dims in
-  let n = t.n in
+  let n = Array.length dims in
+  let cp_rows = (n / cp_interval) + 1 in
+  let cp_width = (2 * n) + 2 in
+  let t =
+    {
+      n;
+      w = Array.map fst dims;
+      h = Array.map snd dims;
+      rot = Array.make n false;
+      block_at = Array.init n (fun i -> i);
+      slot_of = Array.init n (fun i -> i);
+      parent = Array.make n (-1);
+      left = Array.make n (-1);
+      right = Array.make n (-1);
+      root = 0;
+      free = Array.make n 0;
+      free_pos = Array.make n (-1);
+      free_len = 0;
+      sk_x = Array.make cp_width 0;
+      sk_y = Array.make cp_width 0;
+      sk_len = 0;
+      st_slot = Array.make (n + 1) 0;
+      st_x = Array.make (n + 1) 0;
+      c_valid = 0;
+      c_block = Array.make n 0;
+      c_x = Array.make n 0;
+      c_w = Array.make n 0;
+      c_h = Array.make n 0;
+      c_y = Array.make n 0;
+      cp_x = Array.make (cp_rows * cp_width) 0;
+      cp_y = Array.make (cp_rows * cp_width) 0;
+      cp_len = Array.make cp_rows 0;
+    }
+  in
   (* Initial shape: left-chain spine with right children hung off it in
      index order packs blocks into rows; a complete binary tree packs
      roughly square.  Use the complete tree. *)
@@ -304,56 +138,6 @@ let create ?contour dims =
       t.parent.(r) <- i
     end
   done;
-  rebuild_free t;
-  t
-
-let create_shelves ?contour dims =
-  if Array.length dims = 0 then
-    invalid_arg "Bstar_tree.create_shelves: no blocks";
-  let t = alloc ?contour dims in
-  let n = t.n in
-  let total_area =
-    Array.fold_left (fun acc (w, h) -> acc + (w * h)) 0 dims
-  in
-  let target_w =
-    max
-      (Array.fold_left (fun acc (w, _) -> max acc w) 1 dims)
-      (int_of_float (sqrt (1.15 *. float_of_int total_area)))
-  in
-  let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let c = Int.compare (snd dims.(b)) (snd dims.(a)) in
-      if c <> 0 then c else Int.compare a b)
-    order;
-  (* build shelves: within a row, chain left children; each new row head
-     is the right child of the previous row's head *)
-  let row_head = ref (-1) and row_prev = ref (-1) and row_width = ref 0 in
-  Array.iter
-    (fun b ->
-      let slot = b in
-      let w = fst dims.(b) in
-      if !row_head = -1 then begin
-        (* first block overall: root *)
-        t.root <- slot;
-        row_head := slot;
-        row_prev := slot;
-        row_width := w
-      end
-      else if !row_width + w <= target_w then begin
-        t.left.(!row_prev) <- slot;
-        t.parent.(slot) <- !row_prev;
-        row_prev := slot;
-        row_width := !row_width + w
-      end
-      else begin
-        t.right.(!row_head) <- slot;
-        t.parent.(slot) <- !row_head;
-        row_head := slot;
-        row_prev := slot;
-        row_width := w
-      end)
-    order;
   rebuild_free t;
   t
 
@@ -539,16 +323,14 @@ let flat_restart t k =
    (block, x0, w, h) tuples: the y of step i and the contour after it
    depend only on steps 0..i.  So the longest prefix of tuples equal to
    the cached previous pack keeps its cached positions verbatim; the
-   skyline restarts at the first divergent step — from a stored
-   persistent-contour root (balanced) or the nearest flat checkpoint
-   plus a short replay — and only the suffix is re-placed.  The cache
-   always describes the latest pack, even one the annealer later
-   rejects: prefix equality is checked tuple by tuple, so a stale
+   skyline restarts at the first divergent step from the nearest
+   checkpoint plus a short replay, and only the suffix is re-placed.
+   The cache always describes the latest pack, even one the annealer
+   later rejects: prefix equality is checked tuple by tuple, so a stale
    suffix can never be reused by accident. *)
 let pack_xy t xs ys =
   let max_w = ref 0 and max_h = ref 0 in
   let diverged = ref false in
-  let bcontour = ref Contour.initial in
   let st_slot = t.st_slot and st_x = t.st_x in
   st_slot.(0) <- t.root;
   st_x.(0) <- 0;
@@ -559,54 +341,37 @@ let pack_xy t xs ys =
     let slot = st_slot.(!sp) and x0 = st_x.(!sp) in
     let b = t.block_at.(slot) in
     let w = width t b and h = height t b in
-    if
-      (not !diverged)
-      && !i < t.c_valid
-      && t.c_block.(!i) = b
-      && t.c_x.(!i) = x0
-      && t.c_w.(!i) = w
-      && t.c_h.(!i) = h
-    then begin
-      (* unchanged prefix: cached position, no skyline work *)
-      let y = t.c_y.(!i) in
-      xs.(b) <- x0;
-      ys.(b) <- y;
-      if x0 + w > !max_w then max_w := x0 + w;
-      if y + h > !max_h then max_h := y + h
-    end
-    else begin
-      if not !diverged then begin
-        diverged := true;
-        if t.balanced then
-          bcontour :=
-            (if !i = 0 then Contour.initial else t.c_contour.(!i - 1))
-        else flat_restart t !i
-      end;
-      let y =
-        if t.balanced then begin
-          let c', y =
-            Contour.place !bcontour ~x0 ~x1:(x0 + w) ~h
-          in
-          bcontour := c';
-          t.c_contour.(!i) <- c';
-          y
-        end
-        else begin
-          if !i mod cp_interval = 0 then
-            flat_save_checkpoint t (!i / cp_interval);
-          flat_place t x0 (x0 + w) h
-        end
-      in
-      t.c_block.(!i) <- b;
-      t.c_x.(!i) <- x0;
-      t.c_w.(!i) <- w;
-      t.c_h.(!i) <- h;
-      t.c_y.(!i) <- y;
-      xs.(b) <- x0;
-      ys.(b) <- y;
-      if x0 + w > !max_w then max_w := x0 + w;
-      if y + h > !max_h then max_h := y + h
-    end;
+    let y =
+      if
+        (not !diverged)
+        && !i < t.c_valid
+        && t.c_block.(!i) = b
+        && t.c_x.(!i) = x0
+        && t.c_w.(!i) = w
+        && t.c_h.(!i) = h
+      then
+        (* unchanged prefix: cached position, no skyline work *)
+        t.c_y.(!i)
+      else begin
+        if not !diverged then begin
+          diverged := true;
+          flat_restart t !i
+        end;
+        if !i mod cp_interval = 0 then
+          flat_save_checkpoint t (!i / cp_interval);
+        let y = flat_place t x0 (x0 + w) h in
+        t.c_block.(!i) <- b;
+        t.c_x.(!i) <- x0;
+        t.c_w.(!i) <- w;
+        t.c_h.(!i) <- h;
+        t.c_y.(!i) <- y;
+        y
+      end
+    in
+    xs.(b) <- x0;
+    ys.(b) <- y;
+    if x0 + w > !max_w then max_w := x0 + w;
+    if y + h > !max_h then max_h := y + h;
     incr i;
     if t.right.(slot) <> -1 then begin
       st_slot.(!sp) <- t.right.(slot);
@@ -622,18 +387,10 @@ let pack_xy t xs ys =
   t.c_valid <- !i;
   (!max_w, !max_h)
 
-let pack_into t pos =
+let pack t =
   let xs = Array.make t.n 0 and ys = Array.make t.n 0 in
   let wh = pack_xy t xs ys in
-  for b = 0 to t.n - 1 do
-    pos.(b) <- (xs.(b), ys.(b))
-  done;
-  wh
-
-let pack t =
-  let pos = Array.make t.n (0, 0) in
-  let wh = pack_into t pos in
-  (pos, wh)
+  (Array.init t.n (fun b -> (xs.(b), ys.(b))), wh)
 
 (* Brute-force O(n^2) reference packer: the same DFS, but each block's y
    is the max top of the already-placed blocks its x-interval overlaps.

@@ -11,11 +11,10 @@
     (block, x, effective w/h, y) together with contour restart points,
     and the next pack reuses the longest prefix of steps whose inputs
     are unchanged — a local move late in the DFS order repacks only the
-    suffix.  Two contour back-ends implement the restart: small trees
-    keep the allocation-free flat array splice with periodic contour
-    checkpoints; large trees use a persistent balanced (AVL) contour
-    whose per-step roots are O(1) to retain, making each placement
-    O(log n).  Both produce bit-identical placements.
+    suffix.  The contour is a sorted breakpoint array: a placement
+    binary-searches its start and splices in place, allocation-free, and
+    a restart loads the nearest periodic checkpoint and replays at most
+    a few cached placements.
 
     Blocks carry a footprint (w, h); rotation swaps the two.  The 2.5D
     aspect of the flow (block z-extents) is handled by the placer on
@@ -23,19 +22,9 @@
 
 type t
 
-(** [create dims] builds an initial balanced tree over blocks with the
-    given (w, h) footprints, in index order.  [?contour] selects the
-    packing back-end: [`Auto] (default) picks flat below 512 blocks and
-    balanced above; [`Flat]/[`Balanced] force one (used by the
-    differential tests — results are identical either way). *)
-val create : ?contour:[ `Auto | `Flat | `Balanced ] -> (int * int) array -> t
-
-(** [create_shelves dims] builds an initial tree that packs like shelf
-    (strip) packing: blocks sorted by decreasing height fill rows of
-    width about [sqrt (1.15 * total area)] — a strong starting point for
-    the annealer. *)
-val create_shelves :
-  ?contour:[ `Auto | `Flat | `Balanced ] -> (int * int) array -> t
+(** [create dims] builds an initial complete binary tree over blocks
+    with the given (w, h) footprints, in index order. *)
+val create : (int * int) array -> t
 
 val size : t -> int
 
@@ -75,10 +64,6 @@ val restore : t -> snapshot -> unit
 (** [pack t] computes the placement: per-block lower-left (x, y) and the
     bounding (width, height). *)
 val pack : t -> (int * int) array * (int * int)
-
-(** [pack_into t pos] is [pack] writing the positions into the caller's
-    buffer (length [size t]) and returning the bounding (width, height). *)
-val pack_into : t -> (int * int) array -> int * int
 
 (** [pack_xy t xs ys] is [pack] writing x and y coordinates into the
     caller's unboxed int buffers (length [size t]) and returning the

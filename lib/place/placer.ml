@@ -294,27 +294,19 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
      never worker id, so it doesn't matter which pool domain (or helping
      parent — this map may itself run inside a suite-instance task on
      the shared work-stealing pool) advances a lane.  Lanes advance in
-     fixed-size chunks, one [Pool.map] per epoch; at each chunk end a
-     lane publishes its best into a shared [Atomic] (CAS-min).  Early
-     stopping is decided only at the epoch barriers, from the barrier
-     value of the Atomic — the min over all lanes' bests through their
-     completed epochs, which is independent of worker scheduling — so
-     the result is a pure function of (seed, restarts) for any worker
-     count.  Lane 0 is the historical single-start trajectory and is
-     exempt from early stopping, so the multi-start best is never worse
-     than a single-start run.  A stopped lane can never be the winner:
-     at the stop decision its best exceeds (1 + margin) * global best,
-     and the eventual winner's cost is at most that global best. *)
+     fixed-size chunks, one [Pool.map] per epoch.  Early stopping is
+     decided only at the epoch barriers, against the minimum of every
+     lane's best so far — read after the map has joined, so it is
+     independent of worker scheduling and the result is a pure function
+     of (seed, restarts) for any worker count.  Lane 0 is the historical
+     single-start trajectory and is exempt from early stopping, so the
+     multi-start best is never worse than a single-start run.  A stopped
+     lane can never be the winner: at the stop decision its best exceeds
+     (1 + margin) * global best, and the eventual winner's cost is at
+     most that global best. *)
   let restarts = max 1 config.restarts in
   let lanes = Array.init restarts (Rng.lane seed) in
   let trajs = Pool.map ?jobs:config.jobs anneal_start lanes in
-  let global_best = Atomic.make infinity in
-  let rec publish v =
-    let cur = Atomic.get global_best in
-    if v < cur && not (Atomic.compare_and_set global_best cur v) then
-      publish v
-  in
-  Array.iter (fun (st, _) -> publish (Sa.best_cost st)) trajs;
   let stopped = Array.make restarts false in
   let chunk = max 1_000 (iterations / 16) in
   let running = ref true in
@@ -329,17 +321,18 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
     | active ->
         ignore
           (Pool.map ?jobs:config.jobs
-             (fun i ->
-               let st, _ = trajs.(i) in
-               Sa.step st chunk;
-               publish (Sa.best_cost st))
+             (fun i -> Sa.step (fst trajs.(i)) chunk)
              (Array.of_list active));
         (* barrier: deterministic stop decisions.  A low-temperature
            lane (at least half its moves spent) whose best trails the
-           shared best by more than the margin gives up. *)
+           best over all lanes by more than the margin gives up. *)
         (match config.early_stop_margin with
         | Some margin when margin >= 0. ->
-            let g = Atomic.get global_best in
+            let g =
+              Array.fold_left
+                (fun acc (st, _) -> Float.min acc (Sa.best_cost st))
+                infinity trajs
+            in
             Array.iteri
               (fun i (st, _) ->
                 if

@@ -7,15 +7,6 @@ type params = {
   initial_acceptance : float;
 }
 
-let default_params ~size =
-  let size = max 1 size in
-  {
-    iterations = Tqec_util.Stats.clamp 2_000 200_000 (size * 60);
-    moves_per_temp = Tqec_util.Stats.clamp 20 400 (size * 2);
-    cooling = 0.93;
-    initial_acceptance = 0.85;
-  }
-
 type stats = {
   attempted : int;
   accepted : int;

@@ -23,9 +23,6 @@ type params = {
   initial_acceptance : float;  (** probe-phase target, e.g. 0.85 *)
 }
 
-(** [default_params ~size] scales the budget with problem size. *)
-val default_params : size:int -> params
-
 type stats = {
   attempted : int;
   accepted : int;

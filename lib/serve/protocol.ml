@@ -224,8 +224,12 @@ let knobs_of_json j =
   let* corridor = opt_field j "corridor" Json.to_int "corridor" in
   let* debug = default_field j "debug" Json.to_bool ~default:false "debug" in
   let* verify = default_field j "verify" Json.to_bool ~default:false "verify" in
+  let positive = function Some v -> v >= 1 | None -> true in
   if restarts < 1 then Error "restarts must be >= 1"
   else if seed < 0 then Error "seed must be non-negative"
+  (* the CLI's --partition and --corridor accept only positive caps *)
+  else if not (positive partition) then Error "partition must be >= 1"
+  else if not (positive corridor) then Error "corridor must be >= 1"
   else
     Ok
       { variant; effort; seed; restarts; jobs; early_stop; partition;

@@ -57,12 +57,6 @@ let test_sa_stats_sane () =
   check Alcotest.bool "temperature decayed" true
     (stats.Sa.final_temperature > 0.)
 
-let test_sa_default_params () =
-  let p = Sa.default_params ~size:10 in
-  check Alcotest.bool "iterations positive" true (p.Sa.iterations > 0);
-  check Alcotest.bool "cooling in range" true
-    (p.Sa.cooling > 0. && p.Sa.cooling < 1.)
-
 (* The stepper contract behind adaptive multi-start: advancing a
    trajectory in arbitrary chunks is bit-identical to one uninterrupted
    run. *)
@@ -115,15 +109,6 @@ let test_bstar_pack_no_overlap () =
     (Array.for_all2
        (fun (x, y) (bw, bh) -> x >= 0 && y >= 0 && x + bw <= w && y + bh <= h)
        pos dims)
-
-let test_bstar_shelves_quality () =
-  (* shelves should pack 16 unit squares into area close to 16 *)
-  let dims = Array.make 16 (2, 2) in
-  let t = Bstar_tree.create_shelves dims in
-  check Alcotest.(list string) "tree consistent" [] (Bstar_tree.check t);
-  let pos, (w, h) = Bstar_tree.pack t in
-  check Alcotest.bool "no overlap" false (Bstar_tree.overlaps pos dims);
-  check Alcotest.bool "dense" true (w * h <= 100)
 
 let test_bstar_rotate () =
   let dims = dims_of_list [ (5, 1); (5, 1) ] in
@@ -216,102 +201,63 @@ let assert_pack_matches_reference t xs ys =
   done;
   !ok
 
-(* The tentpole property: over >= 1000 random move / pack / undo / pack
-   steps, the incremental repack (prefix reuse + contour restart) stays
-   bit-identical to a from-scratch brute-force pack — for both contour
-   back-ends.  Dims are drawn from a small set so block x-intervals
-   frequently abut existing breakpoints exactly. *)
+(* Over 1000 random move / pack / undo / pack steps, the incremental
+   repack (prefix reuse + contour restart) stays bit-identical to a
+   from-scratch brute-force pack.  Dims are drawn from a small set so
+   block x-intervals frequently abut existing breakpoints exactly. *)
 let prop_pack_incremental_matches_reference =
   QCheck.Test.make
     ~name:"incremental pack = reference over 1000 move/undo steps"
     ~count:4
     QCheck.(pair (int_range 2 24) (int_range 1 1_000_000))
     (fun (n, seed) ->
-      List.for_all
-        (fun mode ->
-          let rng = Rng.create seed in
-          let dims =
-            Array.init n (fun i -> (1 + ((i * 7) mod 5), 1 + ((i * 3) mod 4)))
-          in
-          let t = Bstar_tree.create ~contour:mode dims in
-          let xs = Array.make n 0 and ys = Array.make n 0 in
-          let ok = ref (assert_pack_matches_reference t xs ys) in
-          for _ = 1 to 500 do
-            let undo =
-              match Rng.int rng 3 with
-              | 0 ->
-                  let b = Rng.int rng n in
-                  Bstar_tree.rotate t b;
-                  fun () -> Bstar_tree.rotate t b
-              | 1 ->
-                  let a = Rng.int rng n and b = Rng.int rng n in
-                  Bstar_tree.swap_blocks t a b;
-                  fun () -> Bstar_tree.swap_blocks t a b
-              | _ ->
-                  let snap = Bstar_tree.snapshot t in
-                  Bstar_tree.move_block t ~rng (Rng.int rng n);
-                  fun () -> Bstar_tree.restore t snap
-            in
-            if not (assert_pack_matches_reference t xs ys) then ok := false;
-            if Rng.bool rng then begin
-              (* reject: the cache must survive the restore *)
-              undo ();
-              if not (assert_pack_matches_reference t xs ys) then ok := false
-            end;
-            if Bstar_tree.check t <> [] then ok := false
-          done;
-          !ok)
-        [ `Flat; `Balanced ])
-
-(* Same move trajectory through both contour back-ends: identical
-   geometry at every step (the mode only changes constants, never
-   results). *)
-let prop_pack_contour_modes_agree =
-  QCheck.Test.make ~name:"flat and balanced contours pack identically"
-    ~count:6
-    QCheck.(pair (int_range 2 20) (int_range 1 1_000_000))
-    (fun (n, seed) ->
+      let rng = Rng.create seed in
       let dims =
-        Array.init n (fun i -> (1 + ((i * 5) mod 4), 1 + ((i * 3) mod 5)))
+        Array.init n (fun i -> (1 + ((i * 7) mod 5), 1 + ((i * 3) mod 4)))
       in
-      let tf = Bstar_tree.create ~contour:`Flat dims in
-      let tb = Bstar_tree.create ~contour:`Balanced dims in
-      let rng_f = Rng.create seed and rng_b = Rng.create seed in
-      let xs_f = Array.make n 0 and ys_f = Array.make n 0 in
-      let xs_b = Array.make n 0 and ys_b = Array.make n 0 in
-      let ok = ref true in
-      let apply t rng =
-        match Rng.int rng 3 with
-        | 0 -> Bstar_tree.rotate t (Rng.int rng n)
-        | 1 -> Bstar_tree.swap_blocks t (Rng.int rng n) (Rng.int rng n)
-        | _ -> Bstar_tree.move_block t ~rng (Rng.int rng n)
-      in
-      for _ = 1 to 200 do
-        apply tf rng_f;
-        apply tb rng_b;
-        let wh_f = Bstar_tree.pack_xy tf xs_f ys_f in
-        let wh_b = Bstar_tree.pack_xy tb xs_b ys_b in
-        if wh_f <> wh_b || xs_f <> xs_b || ys_f <> ys_b then ok := false
+      let t = Bstar_tree.create dims in
+      let xs = Array.make n 0 and ys = Array.make n 0 in
+      let ok = ref (assert_pack_matches_reference t xs ys) in
+      for _ = 1 to 500 do
+        let undo =
+          match Rng.int rng 3 with
+          | 0 ->
+              let b = Rng.int rng n in
+              Bstar_tree.rotate t b;
+              fun () -> Bstar_tree.rotate t b
+          | 1 ->
+              let a = Rng.int rng n and b = Rng.int rng n in
+              Bstar_tree.swap_blocks t a b;
+              fun () -> Bstar_tree.swap_blocks t a b
+          | _ ->
+              let snap = Bstar_tree.snapshot t in
+              Bstar_tree.move_block t ~rng (Rng.int rng n);
+              fun () -> Bstar_tree.restore t snap
+        in
+        if not (assert_pack_matches_reference t xs ys) then ok := false;
+        if Rng.bool rng then begin
+          (* reject: the cache must survive the restore *)
+          undo ();
+          if not (assert_pack_matches_reference t xs ys) then ok := false
+        end;
+        if Bstar_tree.check t <> [] then ok := false
       done;
       !ok)
 
 (* Exact-abutment regression: uniform widths make every placement's
    x-interval land exactly on existing breakpoints. *)
 let test_pack_abutting_breakpoints () =
-  List.iter
-    (fun mode ->
-      let dims = Array.make 9 (2, 2) in
-      let t = Bstar_tree.create ~contour:mode dims in
-      let xs = Array.make 9 0 and ys = Array.make 9 0 in
-      check Alcotest.bool "uniform grid matches reference" true
-        (assert_pack_matches_reference t xs ys);
-      let rng = Rng.create 77 in
-      for _ = 1 to 50 do
-        Bstar_tree.move_block t ~rng (Rng.int rng 9);
-        check Alcotest.bool "still matches after move" true
-          (assert_pack_matches_reference t xs ys)
-      done)
-    [ `Flat; `Balanced ]
+  let dims = Array.make 9 (2, 2) in
+  let t = Bstar_tree.create dims in
+  let xs = Array.make 9 0 and ys = Array.make 9 0 in
+  check Alcotest.bool "uniform grid matches reference" true
+    (assert_pack_matches_reference t xs ys);
+  let rng = Rng.create 77 in
+  for _ = 1 to 50 do
+    Bstar_tree.move_block t ~rng (Rng.int rng 9);
+    check Alcotest.bool "still matches after move" true
+      (assert_pack_matches_reference t xs ys)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Hpwl_cache                                                          *)
@@ -654,6 +600,33 @@ let test_placer_early_stop () =
   check Alcotest.bool "same positions under early stop" true
     (eager.Placer.node_pos = eager_par.Placer.node_pos)
 
+(* Golden multi-start placement: four lanes under the most eager margin,
+   at one and at four workers.  The digest pins positions, rotations,
+   extents and the summed move count, so a change to the lanes' RNG
+   streams, the epoch barriers or the stop decisions shows here. *)
+let test_placer_multistart_golden () =
+  let circuit = one_t_circuit () in
+  List.iter
+    (fun jobs ->
+      let p =
+        place_multistart ~margin:(Some 0.) ~restarts:4 ~jobs:(Some jobs) 42
+          circuit
+      in
+      let printed =
+        String.concat " "
+          (List.map (fun (x, y) -> Printf.sprintf "%d,%d" x y)
+             (Array.to_list p.Placer.node_pos)
+          @ List.map string_of_bool (Array.to_list p.Placer.rotated)
+          @ List.map string_of_int
+              [ p.Placer.width; p.Placer.height; p.Placer.depth;
+                p.Placer.sa_stats.Sa.attempted ])
+      in
+      check Alcotest.string
+        (Printf.sprintf "placement digest at jobs %d" jobs)
+        "053aa9bcc8ac1d8427393a3670c3a615"
+        (Digest.to_hex (Digest.string printed)))
+    [ 1; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Partition + divide-and-conquer placement                            *)
 (* ------------------------------------------------------------------ *)
@@ -846,19 +819,16 @@ let suites =
       [
         Alcotest.test_case "minimizes quadratic" `Quick test_sa_minimizes_quadratic;
         Alcotest.test_case "stats sane" `Quick test_sa_stats_sane;
-        Alcotest.test_case "default params" `Quick test_sa_default_params;
         Alcotest.test_case "stepper = run" `Quick test_sa_stepper_matches_run;
       ] );
     ( "place.bstar",
       [
         Alcotest.test_case "pack no overlap" `Quick test_bstar_pack_no_overlap;
-        Alcotest.test_case "shelves quality" `Quick test_bstar_shelves_quality;
         Alcotest.test_case "rotate" `Quick test_bstar_rotate;
         Alcotest.test_case "snapshot/restore" `Quick test_bstar_snapshot_restore;
         qtest prop_bstar_moves_preserve_invariants;
         qtest prop_bstar_pack_compact_bottom_left;
         qtest prop_pack_incremental_matches_reference;
-        qtest prop_pack_contour_modes_agree;
         Alcotest.test_case "abutting breakpoints" `Quick
           test_pack_abutting_breakpoints;
       ] );
@@ -882,6 +852,8 @@ let suites =
           test_placer_multistart_never_worse;
         Alcotest.test_case "adaptive early stop" `Quick
           test_placer_early_stop;
+        Alcotest.test_case "golden multi-start placement" `Quick
+          test_placer_multistart_golden;
         Alcotest.test_case "force-directed" `Quick test_placer_force_directed;
         qtest prop_placer_valid_on_random;
       ] );

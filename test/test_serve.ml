@@ -181,6 +181,11 @@ let test_codec_rejects () =
   bad "{\"op\":\"compress\",\"qct\":\"qubits 1\\n\",\"benchmark\":\"rd84_142\"}";
   bad "{\"op\":\"compress\",\"benchmark\":\"rd84_142\",\"scale\":0}";
   bad "{\"op\":\"compress\",\"benchmark\":\"rd84_142\",\"restarts\":0}";
+  (* like the CLI's --partition and --corridor, only positive caps *)
+  bad "{\"op\":\"compress\",\"benchmark\":\"rd84_142\",\"partition\":0}";
+  bad "{\"op\":\"compress\",\"benchmark\":\"rd84_142\",\"partition\":-3}";
+  bad "{\"op\":\"compress\",\"benchmark\":\"rd84_142\",\"corridor\":0}";
+  bad "{\"op\":\"compress\",\"benchmark\":\"rd84_142\",\"corridor\":-5}";
   (* defaults fill everything the request leaves out *)
   match Protocol.decode_request "{\"op\":\"compress\",\"benchmark\":\"x\"}" with
   | Ok (Protocol.Compress { knobs; _ }) ->
